@@ -3,7 +3,9 @@
 cox_presentation turns a complete simplicial fan (primitive rays plus maximal
 cones) into a weight matrix presenting the class group, with the row-HNF as
 the canonical basis choice.  CoxPolynomial holds homogeneous polynomials in
-the Cox coordinates with rational or parameter coefficients; chart_analysis
+the Cox coordinates with rational or parameter coefficients; it is a
+symbolic.SparsePoly over the variable names, with exponents >= 0, and takes
+its clean-up, immutability and term printer from that core.  chart_analysis
 dehomogenizes them on each maximal cone and identifies the ambient finite
 quotient through the Smith normal form of the ray submatrix.
 """
@@ -18,7 +20,7 @@ from math import gcd, prod
 from .errors import CorankError, NonSimplicial, TorsionClassGroup, Unbounded
 from .linalg import dot, hnf, kernel_basis, rank, snf, transpose
 from .polyhedra import dual_cone, halfspaces
-from .symbolic import ParamPoly, coeff_substitute
+from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def unstable_locus_equal(gens_a, gens_b):
     return True
 
 
-class CoxPolynomial:
+class CoxPolynomial(SparsePoly):
     """Polynomial in Cox coordinates; exponents >= 0, insertion order kept."""
 
     __slots__ = ("names", "params", "terms")
@@ -132,19 +134,9 @@ class CoxPolynomial:
     def __init__(self, names, terms, params=()):
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "params", tuple(params))
-        clean = {}
-        for e, c in dict(terms).items():
-            e = tuple(int(k) for k in e)
-            if len(e) != len(self.names):
-                raise ValueError("exponent arity does not match the variables")
-            if any(k < 0 for k in e):
-                raise ValueError("negative exponent in a Cox polynomial")
-            if c != 0:
-                clean[e] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoxPolynomial is immutable")
+        self._set_terms(terms, len(self.names), "the variables")
+        if any(k < 0 for e in self.terms for k in e):
+            raise ValueError("negative exponent in a Cox polynomial")
 
     def __eq__(self, other):
         if not isinstance(other, CoxPolynomial):
@@ -182,32 +174,8 @@ class CoxPolynomial:
             tuple(p for p in self.params if p not in assignments),
         )
 
-    def _monomial_str(self, e):
-        factors = []
-        for name, k in zip(self.names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        return "*".join(factors)
-
     def __str__(self):
-        parts = []
-        for e, c in self.terms.items():
-            mono = self._monomial_str(e)
-            if isinstance(c, ParamPoly) and not c.is_constant():
-                cs = str(c)
-                cs = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
-                parts.append(f"{cs}*{mono}" if mono else cs)
-            elif not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return terms_str(self.terms.items(), self.names)
 
     __repr__ = __str__
 

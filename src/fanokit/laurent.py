@@ -1,8 +1,10 @@
 """Laurent polynomials and the classical period.
 
-A LaurentPolynomial maps integer exponent vectors to coefficients (Fractions
-or ParamPoly).  The classical period of f is the generating function of the
-constant terms of its powers: pi_f(t) = sum_k [const term of f^k] t^k.
+A LaurentPolynomial is a symbolic.SparsePoly over ``dim`` coordinates: it maps
+integer exponent vectors to nonzero coefficients (Fractions or ParamPoly),
+and takes its clean-up, immutability and product loop from that core.  The
+classical period of f is the generating function of the constant terms of
+its powers: pi_f(t) = sum_k [const term of f^k] t^k.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -17,26 +19,16 @@ from math import comb
 
 from .polygon import classify_lattice_point, lattice_points
 from .series import PowerSeries
-from .symbolic import ParamPoly, coeff_substitute, parse_coeff
+from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(SparsePoly):
     __slots__ = ("dim", "params", "terms")
 
     def __init__(self, dim, params, terms):
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "params", tuple(params))
-        clean = {}
-        for e, c in dict(terms).items():
-            e = tuple(int(k) for k in e)
-            if len(e) != self.dim:
-                raise ValueError("exponent arity does not match the dimension")
-            if c != 0:
-                clean[e] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPolynomial is immutable")
+        self._set_terms(terms, self.dim, "the dimension")
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -44,13 +36,7 @@ class LaurentPolynomial:
         return self.dim == other.dim and self.terms == other.terms
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return LaurentPolynomial(self.dim, self.params, out)
+        return LaurentPolynomial(self.dim, self.params, self._product_terms(other))
 
     def constant_term(self):
         return self.terms.get((0,) * self.dim, Fraction(0))
@@ -133,21 +119,24 @@ def edge_binomial_skeleton(P, param_prefix="p"):
 
 def laurent_from_json(data):
     """Read {"params": [...], "terms": [{"exp": [...], "coeff": "..."}]}."""
-    from .errors import SchemaError
+    from .errors import SchemaError, json_ints, json_list
 
     if not isinstance(data, dict) or "terms" not in data:
         raise SchemaError("laurent JSON needs a 'terms' list")
-    params = tuple(data.get("params", ()))
+    params = tuple(json_list(data.get("params", []), "params"))
     terms = {}
     dim = None
-    for item in data["terms"]:
+    for item in json_list(data["terms"], "terms"):
         if not isinstance(item, dict) or "exp" not in item or "coeff" not in item:
             raise SchemaError("each term needs 'exp' and 'coeff'")
-        e = tuple(int(k) for k in item["exp"])
+        e = json_ints(item["exp"], "exponent")
         dim = len(e) if dim is None else dim
         if len(e) != dim:
             raise SchemaError("inconsistent exponent arity")
-        terms[e] = parse_coeff(item["coeff"], params)
+        try:
+            terms[e] = parse_coeff(item["coeff"], params)
+        except ValueError as err:
+            raise SchemaError(str(err)) from None
     if dim is None:
         raise SchemaError("empty Laurent polynomial")
     return LaurentPolynomial(dim, params, terms)

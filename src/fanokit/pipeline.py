@@ -21,7 +21,7 @@ from .cox import (
     section_monomials,
     unstable_locus_equal,
 )
-from .errors import NonSimplicial, SchemaError
+from .errors import NonSimplicial, SchemaError, json_ints, json_list
 from .laurent import classical_period, laurent_from_json
 from .linalg import vec_sub
 from .polygon import (
@@ -53,7 +53,9 @@ def _series_json(ps):
 def run_polygon(data):
     if not isinstance(data, dict) or "vertices" not in data:
         raise SchemaError("polygon JSON needs a 'vertices' list")
-    P = validate_fano(data["vertices"])
+    P = validate_fano(
+        [json_ints(v, "polygon vertex", 2) for v in json_list(data["vertices"], "vertices")]
+    )
     pol = polar(P)
     multiset = singularity_multiset(P)
     return {
@@ -102,8 +104,10 @@ def _cox_stage(data):
     cox = cox_presentation(fan.rays, fan.max_cones, variable_names(s))
     basis = "canonical"
     if "class_basis" in data:
+        rows = json_list(data["class_basis"], "class_basis")
+        table = [json_ints(row, "class_basis row") for row in rows]
         try:
-            cox = change_class_basis(cox, data["class_basis"])
+            cox = change_class_basis(cox, table)
         except ValueError as e:
             raise SchemaError(str(e)) from None
         basis = "input"
@@ -163,7 +167,7 @@ def run_scaffold(data, check_hull=False):
         }
     )
     if "fiber_check" in data:
-        forced = tuple(str(v) for v in data["fiber_check"])
+        forced = tuple(str(v) for v in json_list(data["fiber_check"], "fiber_check"))
         try:
             fc = fiber_avoidance(cox, family, forced)
         except ValueError as e:
@@ -174,7 +178,10 @@ def run_scaffold(data, check_hull=False):
             "witness": None if fc.witness is None else list(fc.witness),
         }
     if "irrelevant_product" in data:
-        factors = [tuple(str(v) for v in f) for f in data["irrelevant_product"]]
+        factors = [
+            tuple(str(v) for v in json_list(f, "irrelevant_product factor"))
+            for f in json_list(data["irrelevant_product"], "irrelevant_product")
+        ]
         if not factors or any(not f for f in factors):
             raise SchemaError("irrelevant_product needs nonempty factor lists")
         gens = [frozenset(t) for t in product(*factors)]
@@ -194,13 +201,18 @@ def _laurent_stage(data, assignments=None):
     sub = data.get("laurent", data)
     f = laurent_from_json(sub)
     merged = {}
-    merged.update(data.get("assign", {}))
+    assign = data.get("assign", {})
+    if not isinstance(assign, dict):
+        raise SchemaError(f"'assign' must be an object, got {assign!r}")
+    merged.update(assign)
     merged.update(assignments or {})
     if merged:
-        try:
-            values = {str(k): Fraction(str(v)) for k, v in merged.items()}
-        except ValueError as e:
-            raise SchemaError(f"bad assignment value: {e}") from None
+        values = {}
+        for k, v in merged.items():
+            try:
+                values[str(k)] = Fraction(str(v))
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"bad assignment value {v!r} for {k}") from None
         unknown = set(values) - set(f.params)
         if unknown:
             raise SchemaError(f"assignments for unknown parameters {sorted(unknown)}")

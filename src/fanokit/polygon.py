@@ -6,8 +6,10 @@ quotient surface singularity 1/r(1,a) of the toric surface defined by the
 face fan; the per-edge invariants (lattice length, lattice height, the count
 of primitive T-cones) drive the smoothing-parameter count.
 
-Vertices are stored counterclockwise starting from the lexicographically
-least vertex, so equal polygons compare equal structurally.
+Polygon is the one polygon type: validate_fano returns one with int
+vertices, polar one with Fraction vertices, and the invariants below accept
+either.  Vertices are stored counterclockwise starting from the
+lexicographically least vertex, so equal polygons compare equal structurally.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import ceil, floor, gcd
 
 from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
 from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, vec_sub
+from .polyhedra import halfspaces, integer_points
 
 
 def _cross(u, v):
@@ -53,26 +56,14 @@ def _canonical_cycle(verts):
 
 
 @dataclass(frozen=True)
-class RatPolygon:
-    """Convex polygon with rational vertices, origin strictly interior."""
+class Polygon:
+    """Convex polygon around the origin; int or Fraction vertices, counterclockwise."""
 
     vertices: tuple
 
     def edges(self):
         v = self.vertices
         return tuple((v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
-
-
-@dataclass(frozen=True)
-class LatticePolygon:
-    vertices: tuple
-
-    def edges(self):
-        v = self.vertices
-        return tuple((v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
-
-    def to_rat(self):
-        return RatPolygon(tuple(tuple(Fraction(c) for c in v) for v in self.vertices))
 
 
 def validate_fano(points):
@@ -80,7 +71,7 @@ def validate_fano(points):
 
     Accepts an iterable of integer points iff they are in convex position,
     every vertex is primitive and the origin is strictly interior.  Returns
-    the LatticePolygon with vertices counterclockwise from the
+    the Polygon with int vertices counterclockwise from the
     lexicographically least one.
     """
     pts = [tuple(int(c) for c in p) for p in points]
@@ -96,7 +87,7 @@ def validate_fano(points):
         # origin strictly left of each directed edge
         if _cross(vec_sub(b, a), vec_sub((0, 0), a)) <= 0:
             raise OriginNotInterior("origin is not strictly interior")
-    return LatticePolygon(_canonical_cycle(list(hull)))
+    return Polygon(_canonical_cycle(list(hull)))
 
 
 @dataclass(frozen=True)
@@ -231,13 +222,11 @@ def qg_dimension(P):
 
 
 def polar(Q):
-    """Polar dual {m : <m, v> >= -1 for all v in Q}, a RatPolygon.
+    """Polar dual {m : <m, v> >= -1 for all v in Q}, with Fraction vertices.
 
     Vertices of the polar correspond to edges of Q; applying polar twice
     returns the original polygon.
     """
-    if isinstance(Q, LatticePolygon):
-        Q = Q.to_rat()
     verts = []
     for u, v in Q.edges():
         d = _cross(u, v)
@@ -246,13 +235,11 @@ def polar(Q):
         # solve <m,u> = -1, <m,v> = -1
         m = (Fraction(-(v[1] - u[1]), 1) / d, Fraction(v[0] - u[0], 1) / d)
         verts.append(m)
-    return RatPolygon(_canonical_cycle(verts))
+    return Polygon(_canonical_cycle(verts))
 
 
 def normalized_volume(Q):
     """Twice the Euclidean area, exact (shoelace over the origin fan)."""
-    if isinstance(Q, LatticePolygon):
-        Q = Q.to_rat()
     total = Fraction(0)
     for u, v in Q.edges():
         total += _cross(u, v)
@@ -261,8 +248,6 @@ def normalized_volume(Q):
 
 def normalized_volume_from_first_vertex(Q):
     """Same value via triangulation from the first vertex; a cross-check."""
-    if isinstance(Q, LatticePolygon):
-        Q = Q.to_rat()
     v0 = Q.vertices[0]
     total = Fraction(0)
     for i in range(1, len(Q.vertices) - 1):
@@ -272,8 +257,6 @@ def normalized_volume_from_first_vertex(Q):
 
 def barycenter(Q):
     """Exact centroid, by triangulating from the first vertex."""
-    if isinstance(Q, LatticePolygon):
-        Q = Q.to_rat()
     v0 = Q.vertices[0]
     area2 = Fraction(0)
     cx = Fraction(0)
@@ -333,15 +316,15 @@ def lattice_symmetries(P):
 
 
 def lattice_points(P):
-    """All lattice points of the polygon, lexicographically sorted."""
-    xs = [v[0] for v in P.vertices]
-    ys = [v[1] for v in P.vertices]
-    pts = []
-    for x in range(floor(min(xs)), ceil(max(xs)) + 1):
-        for y in range(floor(min(ys)), ceil(max(ys)) + 1):
-            if all(_cross(vec_sub(b, a), vec_sub((x, y), a)) >= 0 for a, b in P.edges()):
-                pts.append((x, y))
-    return pts
+    """All lattice points of the polygon, lexicographically sorted.
+
+    Each counterclockwise edge a -> b keeps the points p on its left,
+    <(a_y - b_y, b_x - a_x), p> >= cross(b - a, a).
+    """
+    edges = P.edges()
+    normals = [(a[1] - b[1], b[0] - a[0]) for a, b in edges]
+    bounds = [_cross(vec_sub(b, a), a) for a, b in edges]
+    return integer_points(halfspaces(2, normals, bounds))
 
 
 def classify_lattice_point(P, p):

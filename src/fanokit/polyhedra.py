@@ -148,13 +148,11 @@ def vertices(hs):
     return sorted(found)
 
 
-def integer_points(hs, progress=None):
+def integer_points(hs):
     """Lattice points of a bounded region, in lexicographic order.
 
     Scans the integer bounding box of the exact vertex set and filters by the
-    inequalities.  ``progress``, when given, is called as
-    ``progress(done, total)`` per scan slice; callers may supply a thread-safe
-    callback but the function itself is pure.
+    inequalities.
     """
     verts = vertices(hs)
     if not verts:
@@ -162,16 +160,4 @@ def integer_points(hs, progress=None):
     lo = [min(v[i] for v in verts) for i in range(hs.dim)]
     hi = [max(v[i] for v in verts) for i in range(hs.dim)]
     axes = [range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi)]
-    if any(len(a) == 0 for a in axes):
-        return []
-    pts = []
-    first = axes[0]
-    rest = axes[1:]
-    for k, x0 in enumerate(first):
-        for tail in product(*rest):
-            p = (x0,) + tail
-            if hs.contains(p):
-                pts.append(p)
-        if progress is not None:
-            progress(k + 1, len(first))
-    return pts
+    return [p for p in product(*axes) if hs.contains(p)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .errors import NonSimplicial, SchemaError
+from .errors import NonSimplicial, SchemaError, json_int, json_ints, json_list
 from .linalg import dot, primitive, rank
 from .polygon import convex_hull, validate_fano
 from .polyhedra import halfspaces, vertices
@@ -262,7 +262,7 @@ def scaffolding_from_json(data):
     shape_data = data.get("shape")
     if not isinstance(shape_data, dict) or "projective_dims" not in shape_data:
         raise SchemaError("scaffolding JSON needs shape.projective_dims")
-    shape = ShapeVariety(tuple(shape_data["projective_dims"]))
+    shape = ShapeVariety(json_ints(shape_data["projective_dims"], "projective_dims"))
     if "n_u_rank" not in data:
         raise SchemaError("scaffolding JSON needs n_u_rank")
     struts_data = data.get("struts")
@@ -272,9 +272,17 @@ def scaffolding_from_json(data):
     for item in struts_data:
         if not isinstance(item, dict) or not {"name", "divisor", "chi"} <= set(item):
             raise SchemaError("each strut needs name, divisor and chi")
-        struts.append(Strut(str(item["name"]), item["divisor"], item["chi"]))
+        struts.append(
+            Strut(
+                str(item["name"]),
+                json_ints(item["divisor"], "strut divisor"),
+                json_ints(item["chi"], "strut chi"),
+            )
+        )
     target = data.get("target")
-    return Scaffolding(shape, int(data["n_u_rank"]), tuple(struts), target)
+    if target is not None:
+        target = [json_ints(v, "target vertex", 2) for v in json_list(target, "target")]
+    return Scaffolding(shape, json_int(data["n_u_rank"], "n_u_rank"), tuple(struts), target)
 
 
 def variable_names(s):

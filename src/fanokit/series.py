@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .symbolic import ParamPoly, coeff_substitute
+from .symbolic import Frozen, ParamPoly, coeff_substitute
 
 
-class PowerSeries:
+class PowerSeries(Frozen):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
@@ -28,9 +28,6 @@ class PowerSeries:
             raise ValueError("coefficient list longer than the truncation order")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PowerSeries is immutable")
 
     @classmethod
     def zero(cls, order):
@@ -175,8 +172,3 @@ def first_mismatch(a, b, order):
         if a.coeffs[d] != b.coeffs[d]:
             return d
     return None
-
-
-def specialize(obj, assignments):
-    """Substitute parameter values in any object exposing .specialize()."""
-    return obj.specialize(assignments)

@@ -1,9 +1,16 @@
-"""Polynomials over Q in named parameters, with exact coefficients.
+"""Sparse exact polynomials: the shared core and ParamPoly.
 
-ParamPoly is a thin immutable wrapper around {exponent tuple: Fraction}.
-Arithmetic interoperates with plain ints and Fractions, so series and
-Laurent-polynomial code can hold either numbers or ParamPoly coefficients
-without special cases.  Zero coefficients are never stored.
+SparsePoly is the one immutable map {exponent tuple: nonzero coefficient}
+behind ParamPoly, laurent.LaurentPolynomial and cox.CoxPolynomial.  It owns
+the constructor clean-up (exponents to int tuples, arity check, zero
+coefficients dropped), the immutability guard, the product loop over two
+term maps and the term printer; it never converts a coefficient.  The
+wrappers name the exponent coordinates and add their own checks.
+
+ParamPoly is a polynomial over Q in named parameters with Fraction
+coefficients.  Arithmetic interoperates with plain ints and Fractions, so
+series and Laurent-polynomial code can hold either numbers or ParamPoly
+coefficients without special cases.
 """
 
 from __future__ import annotations
@@ -22,23 +29,80 @@ def _as_fraction(x):
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
-class ParamPoly:
+class Frozen:
+    """Immutability guard: slots are set once through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SparsePoly(Frozen):
+    """Immutable {exponent tuple: coefficient} with no zero coefficients.
+
+    Subclasses declare a ``terms`` slot next to their own and call
+    ``_set_terms`` once from their constructor.
+    """
+
+    __slots__ = ()
+
+    def _set_terms(self, terms, arity, axes):
+        clean = {}
+        for e, c in dict(terms).items():
+            e = tuple(int(k) for k in e)
+            if len(e) != arity:
+                raise ValueError(f"exponent arity does not match {axes}")
+            if c != 0:
+                clean[e] = c
+        object.__setattr__(self, "terms", clean)
+
+    def _product_terms(self, other):
+        """Term map of self * other; exponents add, coefficients multiply."""
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return out
+
+
+def terms_str(items, names):
+    """Render (exponent, coefficient) pairs in the given order as a sum.
+
+    Monomials print as ``x^2*y`` over the given names (exponents >= 0), unit
+    coefficients are dropped, and a non-constant ParamPoly coefficient is
+    parenthesized when it has several terms.
+    """
+    parts = []
+    for e, c in items:
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k > 0)
+        if isinstance(c, ParamPoly) and not c.is_constant():
+            cs = str(c)
+            cs = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
+            parts.append(f"{cs}*{mono}" if mono else cs)
+        elif not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+class ParamPoly(SparsePoly):
     __slots__ = ("params", "terms")
 
     def __init__(self, params, terms):
         object.__setattr__(self, "params", tuple(params))
-        clean = {}
-        for e, c in dict(terms).items():
-            c = _as_fraction(c)
-            if c != 0:
-                e = tuple(int(k) for k in e)
-                if len(e) != len(self.params):
-                    raise ValueError("exponent arity does not match parameters")
-                clean[e] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ParamPoly is immutable")
+        self._set_terms(
+            ((e, _as_fraction(c)) for e, c in dict(terms).items()),
+            len(self.params),
+            "parameters",
+        )
 
     @classmethod
     def constant(cls, value, params=()):
@@ -103,12 +167,7 @@ class ParamPoly:
 
     def __mul__(self, other):
         a, b = ParamPoly._aligned(self, other)
-        out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ParamPoly(a.params, out)
+        return ParamPoly(a.params, a._product_terms(b))
 
     __rmul__ = __mul__
 
@@ -161,42 +220,10 @@ class ParamPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for name, k in zip(self.params, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
+        order = sorted(self.terms, reverse=True)
+        return terms_str(((e, self.terms[e]) for e in order), self.params)
 
     __repr__ = __str__
-
-
-def coeff_is_constant(c):
-    """True when a mixed coefficient (number or ParamPoly) is parameter-free."""
-    if isinstance(c, ParamPoly):
-        return c.is_constant()
-    return True
-
-
-def coeff_value(c):
-    if isinstance(c, ParamPoly):
-        return c.constant_value()
-    return _as_fraction(c)
 
 
 def coeff_substitute(c, assignments):
@@ -214,5 +241,5 @@ def parse_coeff(text, params):
         return ParamPoly.variable(text, params)
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse coefficient {text!r}") from None

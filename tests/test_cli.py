@@ -1,8 +1,12 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from fanokit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FIXTURE_W = [[0, 0, 1, 1, 1, 1], [0, 1, 3, 1, 0, 6], [1, 0, 1, 3, 6, 0]]
 
@@ -51,6 +55,34 @@ def test_json_output_is_byte_identical(capsys):
     assert "elapsed" not in out1
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("polygon-paper-P", ["polygon", "--fixture", "paper-P"]),
+        (
+            "scaffold-paper-scaffolding-check-hull",
+            ["scaffold", "--fixture", "paper-scaffolding", "--check-hull"],
+        ),
+        (
+            "classical-paper-f-order4-symbolic",
+            ["periods", "classical", "--fixture", "paper-f", "--order", "4", "--symbolic"],
+        ),
+        (
+            "classical-paper-f-order6-symbolic-assign",
+            ["periods", "classical", "--fixture", "paper-f", "--order", "6", "--symbolic",
+             "--assign", "a1=1/2", "--assign", "b2=-1/3"],
+        ),
+        ("quantum-paper-order12", ["periods", "quantum", "--fixture", "paper", "--order", "12"]),
+        ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
+    ],
+)
+def test_json_output_matches_golden(capsys, name, argv):
+    """Byte-for-byte stdout of fixture runs, against files in tests/golden."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_polygon_smooth_square(capsys, tmp_path):
     path = tmp_path / "square.json"
     path.write_text('{"vertices": [[1,0],[0,1],[-1,0],[0,-1]]}')
@@ -76,6 +108,48 @@ def test_polygon_invalid_input(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "polygon", "--in", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fixture, path, value, argv",
+    [
+        ("paper-P", ("vertices", 0), ["a", 0], ["polygon"]),
+        ("paper-P", ("vertices",), [1, 2, 3], ["polygon"]),
+        ("paper-P", ("vertices", 0), [2.5, 1], ["polygon"]),
+        ("paper-scaffolding", ("n_u_rank",), "x", ["scaffold"]),
+        ("paper-scaffolding", ("struts", 0, "divisor"), ["a", 1], ["scaffold"]),
+        ("paper-scaffolding", ("fiber_check",), 5, ["scaffold"]),
+        ("paper-f", ("terms", 2, "coeff"), "x", ["periods", "classical", "--symbolic"]),
+        ("paper-f", ("terms", 2, "coeff"), "1/0", ["periods", "classical", "--symbolic"]),
+        ("paper-f", ("terms", 2, "exp"), ["a", 1], ["periods", "classical", "--symbolic"]),
+        ("paper-f", None, None, ["periods", "classical", "--symbolic", "--assign", "a1=1/0"]),
+        ("paper", ("assign", "a1"), "1/0", ["periods", "compare"]),
+        ("paper", ("laurent",), {"terms": 5}, ["periods", "compare"]),
+    ],
+    ids=[
+        "vertex-string", "vertices-flat", "vertex-float", "n_u_rank-string",
+        "divisor-string", "fiber_check-int", "coeff-unknown-name", "coeff-div-zero",
+        "exp-string", "assign-div-zero", "file-assign-div-zero", "terms-int",
+    ],
+)
+def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value, argv):
+    """A fixture with one field replaced by a value of the wrong type or
+    an invalid number exits 2 with one error line, never a traceback."""
+    data = json.loads(
+        resources.files("fanokit").joinpath("fixtures", f"{fixture}.json").read_text()
+    )
+    if path is not None:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    infile = tmp_path / "bad.json"
+    infile.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv, "--in", str(infile))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SchemaError: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_fixture(capsys):

@@ -93,13 +93,6 @@ def test_integer_points_simplex():
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
-def test_integer_points_progress_callback():
-    hs = halfspaces(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -3, 0, -3])
-    seen = []
-    integer_points(hs, progress=lambda done, total: seen.append((done, total)))
-    assert seen and seen[-1][0] == seen[-1][1]
-
-
 def test_integer_points_box_oracle_random():
     rng = random.Random(515)
     for _ in range(50):
