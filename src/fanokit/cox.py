@@ -18,8 +18,9 @@ from itertools import permutations, product
 from math import gcd, prod
 
 from .errors import CorankError, NonSimplicial, TorsionClassGroup, Unbounded
-from .linalg import dot, hnf, kernel_basis, rank, snf, transpose
+from .linalg import dot, hnf, kernel_basis, snf, transpose
 from .polyhedra import dual_cone, halfspaces
+from .scaffolding import theta_matrix
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
 
@@ -75,9 +76,9 @@ def cox_presentation(rays, max_cones, names=None):
         names = tuple(f"v{i+1}" for i in range(n))
     if len(names) != n:
         raise ValueError("one name per ray required")
-    if rank(rays) != dim:
-        raise NonSimplicial("rays do not span the ambient lattice")
     S, U, _ = snf(rays)
+    if n < dim or S[dim - 1][dim - 1] == 0:  # zeros end the SNF diagonal
+        raise NonSimplicial("rays do not span the ambient lattice")
     for i in range(dim):
         if S[i][i] > 1:
             raise TorsionClassGroup(
@@ -183,14 +184,10 @@ class CoxPolynomial(SparsePoly):
 def hypersurface_from_scaffolding(s, cox):
     """The functional h cutting out the image torus, its ray pairings, and
     the binomial equation of the embedded hypersurface."""
-    from .scaffolding import theta_matrix
-
-    th = theta_matrix(s)
-    ker = kernel_basis(transpose(th))
-    corank = len(th) - rank(th)
-    if corank != 1 or len(ker) != 1:
+    ker = kernel_basis(transpose(theta_matrix(s)))
+    if len(ker) != 1:
         raise CorankError(
-            f"embedding has corank {corank}; a hypersurface needs corank 1"
+            f"embedding has corank {len(ker)}; a hypersurface needs corank 1"
         )
     h = ker[0]
     nd = s.shape.divisor_count

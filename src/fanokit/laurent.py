@@ -15,8 +15,10 @@ interior lattice point, and 0 at the origin.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
+from .errors import SchemaError, json_ints, json_list
+from .linalg import is_unimodular, mat_vec
 from .polygon import classify_lattice_point, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
@@ -50,8 +52,6 @@ class LaurentPolynomial(SparsePoly):
 
     def monomial_substitution(self, g):
         """Exponent change x^e -> x^(g e) for a unimodular matrix g."""
-        from .linalg import is_unimodular, mat_vec
-
         if not is_unimodular(g):
             raise ValueError("change of variables must be unimodular")
         return LaurentPolynomial(
@@ -103,8 +103,6 @@ def edge_binomial_skeleton(P, param_prefix="p"):
         terms[p] = ParamPoly.variable(params[i], params)
     for v in P.vertices:
         terms[v] = Fraction(1)
-    from math import gcd
-
     for u, v in P.edges():
         d = (v[0] - u[0], v[1] - u[1])
         l = gcd(abs(d[0]), abs(d[1]))
@@ -119,8 +117,6 @@ def edge_binomial_skeleton(P, param_prefix="p"):
 
 def laurent_from_json(data):
     """Read {"params": [...], "terms": [{"exp": [...], "coeff": "..."}]}."""
-    from .errors import SchemaError, json_ints, json_list
-
     if not isinstance(data, dict) or "terms" not in data:
         raise SchemaError("laurent JSON needs a 'terms' list")
     params = tuple(json_list(data.get("params", []), "params"))

@@ -186,17 +186,18 @@ def snf(M):
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    t = 0
-    while t < min(m, n):
-        # Move a nonzero entry of minimal magnitude to (t, t).
+    def smallest(t):
+        # A nonzero entry of minimal magnitude in the block from (t, t);
+        # on ties the first one in row-major order.
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                     best = (i, j)
-        if best is None:
-            break
-        while True:
+        return best
+
+    for t in range(min(m, n)):
+        while (best := smallest(t)) is not None:
             i0, j0 = best
             if i0 != t:
                 row_swap(t, i0)
@@ -233,12 +234,6 @@ def snf(M):
                     break
                 a[t] = [x + y for x, y in zip(a[t], a[offender])]
                 u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            best = (t, t)
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0 and abs(a[i][j]) < abs(a[best[0]][best[1]]):
-                        best = (i, j)
-        t += 1
     return mat_freeze(a), mat_freeze(u), mat_freeze(v)
 
 

@@ -4,21 +4,26 @@ Each run_* function takes already-parsed input JSON and returns a plain dict
 that serializes deterministically: integers stay integers, every non-integer
 rational is rendered as a string like "22/15", and symbolic coefficients use
 their canonical string form.
+
+The scaffolding stages read one frozen CoxStage (scaffolding, Q_S, Cox
+presentation, hypersurface and its class x_class), each step computed once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .cox import (
+    CoxPolynomial,
+    CoxPresentation,
     chart_analysis,
     change_class_basis,
     cox_presentation,
     deformation_family,
     fiber_avoidance,
     hypersurface_from_scaffolding,
-    section_monomials,
     unstable_locus_equal,
 )
 from .errors import NonSimplicial, SchemaError, json_ints, json_list
@@ -35,8 +40,15 @@ from .polygon import (
     singularity_report,
     validate_fano,
 )
+from .polyhedra import HalfspaceSystem
 from .quantum import quantum_period
-from .scaffolding import build_qs, normal_fan, scaffolding_from_json, variable_names
+from .scaffolding import (
+    Scaffolding,
+    build_qs,
+    normal_fan,
+    scaffolding_from_json,
+    variable_names,
+)
 from .series import first_mismatch
 
 
@@ -86,8 +98,21 @@ def run_polygon(data):
     }
 
 
+@dataclass(frozen=True)
+class CoxStage:
+    """Scaffolding -> Q_S -> Cox presentation -> hypersurface, each step once."""
+
+    scaffolding: Scaffolding
+    qs: HalfspaceSystem
+    cox: CoxPresentation
+    basis: str
+    h: tuple
+    pairings: tuple
+    equation: CoxPolynomial
+    x_class: tuple
+
+
 def _cox_stage(data):
-    """Scaffolding JSON -> (scaffolding, qs, fan, cox, hypersurface data)."""
     s = scaffolding_from_json(data)
     dim = s.shape.divisor_count + s.n_u_rank
     if dim > 3:
@@ -112,45 +137,46 @@ def _cox_stage(data):
             raise SchemaError(str(e)) from None
         basis = "input"
     h, pairings, equation = hypersurface_from_scaffolding(s, cox)
-    return s, qs, fan, cox, basis, h, pairings, equation
+    return CoxStage(
+        s, qs, cox, basis, h, pairings, equation, equation.class_vector(cox.weights)
+    )
 
 
 def run_scaffold(data, check_hull=False):
-    s, qs, fan, cox, basis, h, pairings, equation = _cox_stage(data)
+    st = _cox_stage(data)
+    cox = st.cox
     report = {}
     if check_hull:
-        report["hull_equals_target"] = s.hull_equals_target()
-    x_class = equation.class_vector(cox.weights)
-    sections = section_monomials(cox, x_class)
-    family = deformation_family(cox, equation)
+        report["hull_equals_target"] = st.scaffolding.hull_equals_target()
+    family = deformation_family(cox, st.equation)
     charts = chart_analysis(cox, family)
+    irrelevant = cox.irrelevant_generators()
     report.update(
         {
             "qs": {
-                "normals": [list(n) for n in qs.normals],
-                "bounds": list(qs.bounds),
+                "normals": [list(n) for n in st.qs.normals],
+                "bounds": list(st.qs.bounds),
             },
             "fan": {
-                "rays": [list(r) for r in fan.rays],
-                "max_cones": [list(c) for c in fan.max_cones],
+                "rays": [list(r) for r in cox.rays],
+                "max_cones": [list(c) for c in cox.max_cones],
             },
             "cox": {
                 "variables": list(cox.names),
                 "weight_matrix": [list(row) for row in cox.weights],
-                "class_basis": basis,
+                "class_basis": st.basis,
                 "anticanonical": list(cox.anticanonical),
-                "irrelevant_generators": [
-                    list(g) for g in cox.irrelevant_generators()
-                ],
+                "irrelevant_generators": [list(g) for g in irrelevant],
             },
             "hypersurface": {
-                "h": list(h),
-                "pairings": list(pairings),
-                "equation": str(equation),
-                "class": list(x_class),
-                "degree": list(vec_sub(cox.anticanonical, x_class)),
+                "h": list(st.h),
+                "pairings": list(st.pairings),
+                "equation": str(st.equation),
+                "class": list(st.x_class),
+                "degree": list(vec_sub(cox.anticanonical, st.x_class)),
             },
-            "sections": [list(e) for e in sections],
+            # The family has one term per section of the equation's class.
+            "sections": [list(e) for e in sorted(family.terms)],
             "family": {"equation": str(family), "params": list(family.params)},
             "charts": [
                 {
@@ -186,9 +212,7 @@ def run_scaffold(data, check_hull=False):
             raise SchemaError("irrelevant_product needs nonempty factor lists")
         gens = [frozenset(t) for t in product(*factors)]
         try:
-            report["irrelevant_product_check"] = unstable_locus_equal(
-                cox.irrelevant_generators(), gens
-            )
+            report["irrelevant_product_check"] = unstable_locus_equal(irrelevant, gens)
         except ValueError as e:
             raise SchemaError(str(e)) from None
     return report
@@ -241,8 +265,8 @@ def run_quantum(data, order):
     if not isinstance(data, dict):
         raise SchemaError("periods input must be a JSON object")
     sub = data.get("scaffolding", data)
-    _, _, _, cox, _, _, _, equation = _cox_stage(sub)
-    G, reg = quantum_period(cox, equation.class_vector(cox.weights), order)
+    st = _cox_stage(sub)
+    G, reg = quantum_period(st.cox, st.x_class, order)
     return {"order": order, "period": _series_json(G), "regularized": _series_json(reg)}
 
 
@@ -257,8 +281,13 @@ def run_compare(data, order, assignments=None):
             f"compare needs a fully specialized polynomial; "
             f"parameters {list(f.params)} are unassigned"
         )
-    _, _, _, cox, _, _, _, equation = _cox_stage(data["scaffolding"])
-    _, reg = quantum_period(cox, equation.class_vector(cox.weights), order)
+    st = _cox_stage(data["scaffolding"])
+    if f.dim != st.scaffolding.ambient_rank:
+        raise SchemaError(
+            f"the Laurent polynomial has rank {f.dim}, "
+            f"the scaffolding's lattice rank {st.scaffolding.ambient_rank}"
+        )
+    _, reg = quantum_period(st.cox, st.x_class, order)
     pi = classical_period(f, order)
     miss = first_mismatch(reg, pi, order)
     return {

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from .errors import Unbounded
-from .linalg import dot, primitive, rank, kernel_basis, solve_rational
+from .linalg import dot, identity, kernel_basis, primitive, solve_rational
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def dual_cone(hs):
         raise ValueError("dual_cone supports ambient dimension <= 3 only")
     if any(b != 0 for b in hs.bounds):
         raise ValueError("dual_cone expects homogeneous inequalities")
-    if rank(hs.normals) < hs.dim:
-        lin = kernel_basis(hs.normals)
+    lin = kernel_basis(hs.normals) if hs.normals else identity(hs.dim)
+    if lin:
         return ConeV(hs.dim, (), lin)
     rays = sorted(
         v for v in _ray_candidates(hs.dim, hs.normals)
@@ -118,13 +118,6 @@ def cone_from_rays(dim, rays):
     return dual_cone(halfspaces(dim, [tuple(r) for r in rays]))
 
 
-def _recession_trivial(hs):
-    rec = HalfspaceSystem(hs.dim, hs.normals, (0,) * len(hs.normals))
-    if rank(hs.normals) < hs.dim:
-        return False
-    return not dual_cone(rec).rays
-
-
 def vertices(hs):
     """All vertices of the (bounded) region, sorted, as Fraction tuples.
 
@@ -134,7 +127,8 @@ def vertices(hs):
     """
     if hs.dim > 3:
         raise ValueError("vertices supports ambient dimension <= 3 only")
-    if not _recession_trivial(hs):
+    rec = dual_cone(halfspaces(hs.dim, hs.normals))
+    if rec.lineality or rec.rays:
         raise Unbounded("region has a nontrivial recession cone")
     found = set()
     for idx in combinations(range(len(hs.normals)), hs.dim):

@@ -15,7 +15,7 @@ from itertools import product
 from math import lcm
 
 from .errors import NonSimplicial, SchemaError, json_int, json_ints, json_list
-from .linalg import dot, primitive, rank
+from .linalg import det, dot, primitive, rank
 from .polygon import convex_hull, validate_fano
 from .polyhedra import halfspaces, vertices
 
@@ -43,6 +43,11 @@ class ShapeVariety:
     @property
     def picard_rank(self):
         return len(self.dims)
+
+    @property
+    def variables(self):
+        """Cox variable names of the invariant divisors: z1, z2, ..."""
+        return tuple(f"z{i+1}" for i in range(self.divisor_count))
 
     def factor_slices(self):
         """Index range of each factor's divisors inside the divisor lattice."""
@@ -119,6 +124,9 @@ class Scaffolding:
         names = [st.name for st in self.struts]
         if len(set(names)) != len(names):
             raise SchemaError("strut names must be unique")
+        clash = sorted(set(self.shape.variables).intersection(names))
+        if clash:
+            raise SchemaError(f"strut names {clash} are taken by shape variables")
         for st in self.struts:
             if len(st.divisor) != self.shape.divisor_count:
                 raise SchemaError(f"strut {st.name!r}: divisor length mismatch")
@@ -196,7 +204,6 @@ class NormalFan:
     ``facet_rows`` maps each ray back to its inequality index.
     """
 
-    dim: int
     rays: tuple
     max_cones: tuple
     facet_rows: tuple
@@ -221,34 +228,29 @@ def normal_fan(hs):
         raise SchemaError("polytope is empty")
     if _affine_rank(verts) < hs.dim:
         raise NonSimplicial("polytope is not full-dimensional")
-    m = len(hs.normals)
-    tight_sets = []
-    for i in range(m):
-        tight_sets.append(
-            [v for v in verts if dot(hs.normals[i], v) == hs.bounds[i]]
-        )
+    tight = [
+        {i for i, (n, b) in enumerate(zip(hs.normals, hs.bounds)) if dot(n, v) == b}
+        for v in verts
+    ]
     facet_rows = [
-        i for i in range(m) if _affine_rank(tight_sets[i]) == hs.dim - 1
+        i
+        for i in range(len(hs.normals))
+        if _affine_rank([v for v, t in zip(verts, tight) if i in t]) == hs.dim - 1
     ]
     rays = [primitive(hs.normals[i]) for i in facet_rows]
     if len(set(rays)) != len(rays):
         raise NonSimplicial("two inequalities define the same facet")
-    ray_pos = {row: k for k, row in enumerate(facet_rows)}
     cones = set()
-    for v in verts:
-        tf = tuple(
-            ray_pos[i]
-            for i in facet_rows
-            if dot(hs.normals[i], v) == hs.bounds[i]
-        )
+    for v, t in zip(verts, tight):
+        tf = tuple(k for k, i in enumerate(facet_rows) if i in t)
         if len(tf) != hs.dim:
             raise NonSimplicial(
                 f"vertex {v} lies on {len(tf)} facets in dimension {hs.dim}"
             )
-        if rank([rays[k] for k in tf]) != hs.dim:
+        if det([rays[k] for k in tf]) == 0:
             raise NonSimplicial(f"facet normals at vertex {v} are dependent")
         cones.add(tf)
-    return NormalFan(hs.dim, tuple(rays), tuple(sorted(cones)), tuple(facet_rows))
+    return NormalFan(tuple(rays), tuple(sorted(cones)), tuple(facet_rows))
 
 
 def scaffolding_from_json(data):
@@ -287,6 +289,4 @@ def scaffolding_from_json(data):
 
 def variable_names(s):
     """Cox variable names: strut names, then z1, z2, ... for shape divisors."""
-    return tuple(st.name for st in s.struts) + tuple(
-        f"z{i+1}" for i in range(s.shape.divisor_count)
-    )
+    return tuple(st.name for st in s.struts) + s.shape.variables

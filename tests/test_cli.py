@@ -125,11 +125,21 @@ def test_polygon_invalid_input(capsys, tmp_path):
         ("paper-f", None, None, ["periods", "classical", "--symbolic", "--assign", "a1=1/0"]),
         ("paper", ("assign", "a1"), "1/0", ["periods", "compare"]),
         ("paper", ("laurent",), {"terms": 5}, ["periods", "compare"]),
+        (
+            "paper",
+            ("laurent",),
+            {
+                "params": ["a1", "a2", "b1", "b2", "c1", "c2"],
+                "terms": [{"exp": [1], "coeff": "1"}, {"exp": [-1], "coeff": "1"}],
+            },
+            ["periods", "compare"],
+        ),
     ],
     ids=[
         "vertex-string", "vertices-flat", "vertex-float", "n_u_rank-string",
         "divisor-string", "fiber_check-int", "coeff-unknown-name", "coeff-div-zero",
         "exp-string", "assign-div-zero", "file-assign-div-zero", "terms-int",
+        "laurent-wrong-rank",
     ],
 )
 def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value, argv):
@@ -218,6 +228,23 @@ def test_scaffold_input_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scaffold", "--in", str(big))
     assert code == 2
     assert "dimension" in err
+
+
+def test_scaffold_strut_named_like_a_shape_variable(capsys, tmp_path):
+    data = json.loads(
+        resources.files("fanokit")
+        .joinpath("fixtures", "paper-scaffolding.json")
+        .read_text()
+    )
+    data["struts"][0]["name"] = "z1"
+    del data["fiber_check"], data["irrelevant_product"]
+    infile = tmp_path / "clash.json"
+    infile.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "scaffold", "--in", str(infile))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SchemaError: ") and "'z1'" in err
+    assert err.count("\n") == 1
 
 
 def test_scaffold_math_error(capsys, tmp_path):

@@ -250,6 +250,13 @@ def test_section_monomials_oracles():
         section_monomials(bad, (0,))
 
 
+def assert_family_spans_sections(cox, eq, fam):
+    """The family has exactly one term per section of the equation's class,
+    which is what the scaffold report lists as its sections."""
+    x_class = eq.class_vector(cox.weights)
+    assert tuple(sorted(fam.terms)) == section_monomials(cox, x_class)
+
+
 def test_deformation_family_hexagon():
     s, cox = hex_cox()
     _, _, eq = hypersurface_from_scaffolding(s, cox)
@@ -259,6 +266,11 @@ def test_deformation_family_hexagon():
     assert fam.terms[(4, 0, 2, 0, 0, 0)] == ParamPoly.variable("s1", ("s1", "s2"))
     assert fam.terms[(0, 4, 0, 2, 0, 0)] == ParamPoly.variable("s2", ("s1", "s2"))
     assert fam.class_vector(cox.weights) == (2, 6, 6)
+    assert_family_spans_sections(cox, eq, fam)
+
+    _, canonical = hex_cox(fixture_basis=False)
+    _, _, eq = hypersurface_from_scaffolding(s, canonical)
+    assert_family_spans_sections(canonical, eq, deformation_family(canonical, eq))
 
 
 def test_deformation_family_square():
@@ -267,6 +279,7 @@ def test_deformation_family_square():
     fam = deformation_family(cox, eq)
     assert len(fam.params) == 12
     assert len(fam.terms) == 14
+    assert_family_spans_sections(cox, eq, fam)
 
 
 def test_abelian_quotient_equivalence():

@@ -34,6 +34,8 @@ def test_dual_cone_lineality_flagged():
     assert len(cone.lineality) == 1
     for v in cone.lineality:
         assert dot((1, 0, 0), v) == 0 and dot((0, 1, 0), v) == 0
+    # No inequalities at all: the whole space is lineality.
+    assert dual_cone(halfspaces(2, [])).lineality == ((1, 0), (0, 1))
 
 
 def test_dual_cone_zero_cone():
@@ -85,6 +87,8 @@ def test_vertices_unbounded():
     with pytest.raises(Unbounded):
         # Normals of rank 1: a lineality direction.
         vertices(halfspaces(2, [(1, 0), (-1, 0)], [0, -1]))
+    with pytest.raises(Unbounded):
+        vertices(halfspaces(2, [], []))
 
 
 def test_integer_points_simplex():
