@@ -6,6 +6,17 @@ and takes its clean-up, immutability and product loop from that core.  The
 classical period of f is the generating function of the constant terms of
 its powers: pi_f(t) = sum_k [const term of f^k] t^k.
 
+classical_period multiplies out f, f^2, ..., f^order and prunes each power
+to the terms that can still reach the constant term of f^order.  A term x^e
+of f^k can only if -e lies in (order - k)*Newt(f), so for any linear
+functional l it is dropped when -l(e) > (order - k) * max l(a) over the
+support of f; that is sound for every l.  The functionals are the +-unit
+vectors and, in dimension 2, the edge normals of the Newton polygon.  When
+no coefficient is a ParamPoly, the loop runs on int coefficients: with D the
+lcm of the coefficient denominators it powers D*f, and the constant term of
+f^k is that of (D*f)^k divided by D^k.  Symbolic and partly specialized f
+keep their coefficients and are only pruned.
+
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
 an edge of lattice length l, a fresh named parameter at each strictly
@@ -15,11 +26,12 @@ interior lattice point, and 0 at the origin.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import SchemaError, json_ints, json_list
 from .linalg import is_unimodular, mat_vec
-from .polygon import classify_lattice_point, lattice_points
+from .polygon import classify_lattice_point, convex_hull, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
 
@@ -70,17 +82,49 @@ class LaurentPolynomial(SparsePoly):
     __repr__ = __str__
 
 
-def classical_period(f, order):
-    """Series of constant terms of f^k, k = 0..order.
+def _dot(l, e):
+    return sum(map(mul, l, e))
 
-    Exact at every order; with symbolic coefficients cost grows quickly, so
-    specialize the parameters first for high orders.
+
+def _support_bounds(f):
+    """Pairs (l, max of l over the support of f) for the pruning functionals.
+
+    The functionals are the +-unit vectors and, in dimension 2, the edge
+    normals of the Newton polygon; an f without terms needs none.
     """
+    if not f.terms:
+        return []
+    ls = [tuple(s if j == i else 0 for j in range(f.dim)) for i in range(f.dim) for s in (1, -1)]
+    if f.dim == 2:
+        hull = convex_hull(f.terms)
+        ls += [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b]
+    return [(l, max(_dot(l, e) for e in f.terms)) for l in ls]
+
+
+def classical_period(f, order):
+    """Series of constant terms of f^k, k = 0..order, exact at every order.
+
+    Each power drops the terms that cannot reach the constant term of
+    f^order, and is taken on int coefficients when f has no ParamPoly
+    coefficient; the module docstring states both rules.  A constant term
+    is dropped only when it is zero.
+    """
+    symbolic = any(isinstance(c, ParamPoly) for c in f.terms.values())
+    scale = 1 if symbolic else lcm(*(Fraction(c).denominator for c in f.terms.values()))
+    g = f if symbolic else LaurentPolynomial(
+        f.dim, f.params, {e: int(c * scale) for e, c in f.terms.items()}
+    )
+    bounds = _support_bounds(g)
     coeffs = [Fraction(1)]
-    power = LaurentPolynomial(f.dim, f.params, {(0,) * f.dim: Fraction(1)})
-    for _ in range(order):
-        power = power * f
-        coeffs.append(power.constant_term())
+    power = LaurentPolynomial(f.dim, f.params, {(0,) * f.dim: 1})
+    for k in range(1, order + 1):
+        limits = [(l, -(order - k) * h) for l, h in bounds]
+        terms = (power * g).terms
+        power = LaurentPolynomial(f.dim, f.params, {
+            e: c for e, c in terms.items() if all(_dot(l, e) >= m for l, m in limits)
+        })
+        c = power.constant_term()
+        coeffs.append(c if symbolic else Fraction(c, scale**k))
     return PowerSeries(order, coeffs)
 
 

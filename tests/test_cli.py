@@ -74,6 +74,7 @@ def test_json_output_is_byte_identical(capsys):
         ),
         ("quantum-paper-order12", ["periods", "quantum", "--fixture", "paper", "--order", "12"]),
         ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
+        ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
     ],
 )
 def test_json_output_matches_golden(capsys, name, argv):
@@ -325,6 +326,16 @@ def test_periods_classical_assignments(capsys):
     )
     assert code == 2
     assert "unknown parameters" in err
+
+
+def test_periods_classical_of_a_polynomial_that_specializes_to_zero(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text('{"params": ["a"], "terms": [{"exp": [1, 0], "coeff": "a"}]}')
+    report = run_json(
+        capsys, "periods", "classical", "--in", str(path), "--order", "3", "--assign", "a=0"
+    )
+    assert report["coeffs"] == ["1", "0", "0", "0"]
+    assert report["symbolic"] is False
 
 
 def test_periods_classical_composite_fixture(capsys):

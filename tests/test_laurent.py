@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import SchemaError
 from fanokit.laurent import (
@@ -71,6 +73,80 @@ def constant_term_of_power(f, k):
             mult //= run
         total += mult * coeff
     return total
+
+
+def reference_period(f, order):
+    """Constant terms of f^k by the plain power loop, without pruning."""
+    coeffs = [Fraction(1)]
+    power = LaurentPolynomial(f.dim, f.params, {(0,) * f.dim: Fraction(1)})
+    for _ in range(order):
+        power = power * f
+        coeffs.append(power.constant_term())
+    return PowerSeries(order, coeffs)
+
+
+def laurent(dim, terms):
+    return LaurentPolynomial(dim, (), {e: Fraction(c) for e, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "f, order",
+    [
+        # x + 2/x + 3
+        (laurent(1, {(1,): 1, (-1,): 2, (0,): 3}), 10),
+        # x + y + z + 1/(xyz) + xy/(2z) - 3
+        (laurent(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1,
+                     (1, 1, -1): "1/2", (0, 0, 0): -3}), 8),
+        # a segment support: xy + 1/(xy)
+        (laurent(2, {(1, 1): 1, (-1, -1): 1}), 10),
+        # the origin outside the Newton polygon: x + y
+        (laurent(2, {(1, 0): 1, (0, 1): 1}), 6),
+        # mixed denominators
+        (laurent(2, {(1, 0): "1/2", (0, 1): "2/3", (-1, -1): "-3/4", (-1, 0): 5}), 10),
+        (hex_laurent(), 4),
+        # ParamPoly and Fraction coefficients side by side
+        (hex_laurent().specialize({"a1": Fraction(1, 2), "b2": Fraction(-2, 3), "c1": 0}), 4),
+        (p2_laurent(), 0),
+    ],
+    ids=["dim1", "dim3", "segment", "origin-outside", "denominators", "symbolic",
+         "partly-specialized", "order0"],
+)
+def test_classical_period_matches_the_plain_power_loop(f, order):
+    assert classical_period(f, order) == reference_period(f, order)
+
+
+def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(monkeypatch):
+    """Term products of the paper polynomial's power loop at order 12.
+
+    The plain loop makes 58,680; pruning to -e in (12 - k)*Newt(f) leaves
+    17,380.
+    """
+    f = hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0})
+    products = []
+    plain_mul = LaurentPolynomial.__mul__
+
+    def counting_mul(a, b):
+        products.append(len(a.terms) * len(b.terms))
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    classical_period(f, 12)
+    assert len(products) == 12
+    assert sum(products) == 17380
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=6,
+    ),
+    order=st.integers(0, 8),
+)
+def test_classical_period_property(terms, order):
+    f = LaurentPolynomial(2, (), terms)
+    assert classical_period(f, order) == reference_period(f, order)
 
 
 def test_laurent_basics():
