@@ -8,6 +8,8 @@ symbolic.SparsePoly over the variable names, with exponents >= 0, and takes
 its clean-up, immutability and term printer from that core.  chart_analysis
 dehomogenizes them on each maximal cone and identifies the ambient finite
 quotient through the Smith normal form of the ray submatrix.
+section_monomials lists the monomials of a class as the lattice points of a
+polytope in the kernel of the weight matrix, through polyhedra.integer_points.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, prod
 
-from .errors import CorankError, NonSimplicial, TorsionClassGroup, Unbounded
-from .linalg import dot, hnf, kernel_basis, snf, transpose
-from .polyhedra import dual_cone, halfspaces
+from .errors import CorankError, NonSimplicial, TorsionClassGroup
+from .linalg import dot, hnf, kernel_basis, snf, solve_integer, transpose
+from .polyhedra import halfspaces, integer_points
 from .scaffolding import theta_matrix
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
@@ -203,47 +205,20 @@ def hypersurface_from_scaffolding(s, cox):
     return h, pairings, equation
 
 
-def _positive_functional(classes):
-    """An integer functional strictly positive on every given class."""
-    r = len(classes[0])
-    if any(all(c == 0 for c in w) for w in classes):
-        return None
-    cone = dual_cone(halfspaces(r, classes))
-    if cone.lineality or not cone.rays:
-        return None
-    phi = tuple(sum(c) for c in zip(*cone.rays))
-    if all(dot(phi, w) > 0 for w in classes):
-        return phi
-    return None
-
-
 def section_monomials(cox, cls):
-    """All exponent vectors a >= 0 with W*a = cls, in ascending lex order."""
-    cols = cox.variable_classes
-    phi = _positive_functional(cols)
-    if phi is None:
-        raise Unbounded("no strictly positive functional on the variable classes")
-    cls = tuple(int(c) for c in cls)
-    n = len(cols)
-    out = []
-    acc = [0] * n
+    """All exponent vectors a >= 0 with W*a = cls, in ascending lex order.
 
-    def rec(i, rem):
-        budget = dot(phi, rem)
-        if budget < 0:
-            return
-        if i == n:
-            if all(c == 0 for c in rem):
-                out.append(tuple(acc))
-            return
-        w = cols[i]
-        for a in range(budget // dot(phi, w) + 1):
-            acc[i] = a
-            rec(i + 1, tuple(x - a * y for x, y in zip(rem, w)))
-        acc[i] = 0
-
-    rec(0, cls)
-    return tuple(out)
+    With a0 one integer solution and the columns of K a basis of the integer
+    kernel of W, these are the points a0 + K*y over the lattice points y of
+    {y : a0 + K*y >= 0}, enumerated by polyhedra.integer_points in any class
+    rank.  Raises Unbounded when that region is unbounded.
+    """
+    a0 = solve_integer(cox.weights, cls)
+    if a0 is None:
+        return ()
+    rows = transpose(kernel_basis(cox.weights))
+    ys = integer_points(halfspaces(len(rows[0]), rows, [-a for a in a0]))
+    return tuple(sorted(tuple(a + dot(r, y) for a, r in zip(a0, rows)) for y in ys))
 
 
 def deformation_family(cox, equation):

@@ -259,6 +259,15 @@ def run_classical(data, order, symbolic=False, assignments=None):
     return out
 
 
+def _quantum_period(st, order):
+    """quantum_period on a Cox stage; its cone computations stop at class rank 3."""
+    if st.cox.class_rank > 3:
+        raise SchemaError(
+            f"quantum periods need class rank <= 3, not {st.cox.class_rank}"
+        )
+    return quantum_period(st.cox, st.x_class, order)
+
+
 def run_quantum(data, order):
     if order < 0:
         raise SchemaError("truncation order must be >= 0")
@@ -266,7 +275,7 @@ def run_quantum(data, order):
         raise SchemaError("periods input must be a JSON object")
     sub = data.get("scaffolding", data)
     st = _cox_stage(sub)
-    G, reg = quantum_period(st.cox, st.x_class, order)
+    G, reg = _quantum_period(st, order)
     return {"order": order, "period": _series_json(G), "regularized": _series_json(reg)}
 
 
@@ -287,7 +296,7 @@ def run_compare(data, order, assignments=None):
             f"the Laurent polynomial has rank {f.dim}, "
             f"the scaffolding's lattice rank {st.scaffolding.ambient_rank}"
         )
-    _, reg = quantum_period(st.cox, st.x_class, order)
+    _, reg = _quantum_period(st, order)
     pi = classical_period(f, order)
     miss = first_mismatch(reg, pi, order)
     return {

@@ -1,11 +1,11 @@
-"""Exact polyhedral computations in ambient dimension <= 3.
+"""Exact polyhedral computations.
 
 A region is described by a HalfspaceSystem: inequalities <n_i, x> >= b_i with
 integer normals and rational bounds.  Ray enumeration for cones (all bounds
-zero) is brute force over facet pairs: in dimension 3 every extreme ray is the
-cross product of two constraint normals, in dimension 2 a rotated normal, so
-candidate generation plus feasibility filtering is complete.  Vertex
-enumeration intersects dim-subsets of the bounding hyperplanes exactly.
+zero) and vertex enumeration work in ambient dimension <= 3: in dimension 3
+every extreme ray is the cross product of two constraint normals, in dimension
+2 a rotated normal, and a vertex solves dim tight inequalities.  Lattice points
+are enumerated in any dimension, by Fourier-Motzkin elimination (integer_points).
 
 Everything is pure and deterministic; ray and point lists come back sorted.
 """
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor
+from itertools import combinations
 
 from .errors import Unbounded
 from .linalg import dot, identity, kernel_basis, primitive, solve_rational
@@ -145,13 +144,37 @@ def vertices(hs):
 def integer_points(hs):
     """Lattice points of a bounded region, in lexicographic order.
 
-    Scans the integer bounding box of the exact vertex set and filters by the
-    inequalities.
+    Fourier-Motzkin elimination of the last coordinates gives the projection
+    onto each prefix of coordinates; the points are walked coordinate by
+    coordinate between the exact integer bounds of those projections, so no
+    point is tested and dropped.  Raises Unbounded when a projection leaves a
+    coordinate without a lower or an upper bound, which happens exactly when
+    the recession cone is nontrivial.
     """
-    verts = vertices(hs)
-    if not verts:
+    rows = list(zip(hs.normals, hs.bounds))
+    levels = []  # levels[k]: rows with n_k > 0 and n_k < 0, in coordinates <= k
+    for k in reversed(range(hs.dim)):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        if not pos or not neg:
+            raise Unbounded("region has a nontrivial recession cone")
+        levels.insert(0, (pos, neg))
+        rows = [r for r in rows if r[0][k] == 0] + [
+            (tuple(-n[k] * a + p[k] * c for a, c in zip(p, n)), -n[k] * pb + p[k] * nb)
+            for p, pb in pos
+            for n, nb in neg
+        ]
+    if any(b > 0 for _, b in rows):  # every normal is zero by now
         return []
-    lo = [min(v[i] for v in verts) for i in range(hs.dim)]
-    hi = [max(v[i] for v in verts) for i in range(hs.dim)]
-    axes = [range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi)]
-    return [p for p in product(*axes) if hs.contains(p)]
+
+    def walk(prefix):
+        k = len(prefix)
+        if k == hs.dim:
+            return [prefix]
+        pos, neg = levels[k]
+        # n_k x_k >= b - <n, prefix>, divided by n_k and rounded inwards
+        lo = max(-((dot(n[:k], prefix) - b) // n[k]) for n, b in pos)
+        hi = min((b - dot(n[:k], prefix)) // n[k] for n, b in neg)
+        return [p for x in range(lo, hi + 1) for p in walk(prefix + (x,))]
+
+    return walk(())

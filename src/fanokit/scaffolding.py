@@ -132,6 +132,8 @@ class Scaffolding:
                 raise SchemaError(f"strut {st.name!r}: divisor length mismatch")
             if len(st.chi) != self.n_u_rank:
                 raise SchemaError(f"strut {st.name!r}: chi length mismatch")
+            if not any(st.divisor) and not any(st.chi):
+                raise SchemaError(f"strut {st.name!r}: divisor and chi are all zero")
             self.shape.moment_vertices(st.divisor)  # nef check
         if self.target is not None:
             object.__setattr__(

@@ -75,6 +75,7 @@ def test_json_output_is_byte_identical(capsys):
         ("quantum-paper-order12", ["periods", "quantum", "--fixture", "paper", "--order", "12"]),
         ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
         ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
+        ("quantum-paper-order60", ["periods", "quantum", "--fixture", "paper", "--order", "60"]),
     ],
 )
 def test_json_output_matches_golden(capsys, name, argv):
@@ -120,6 +121,12 @@ def test_polygon_invalid_input(capsys, tmp_path):
         ("paper-scaffolding", ("n_u_rank",), "x", ["scaffold"]),
         ("paper-scaffolding", ("struts", 0, "divisor"), ["a", 1], ["scaffold"]),
         ("paper-scaffolding", ("fiber_check",), 5, ["scaffold"]),
+        (
+            "paper-scaffolding",
+            ("struts", 0),
+            {"name": "x1", "divisor": [0, 0], "chi": [0]},
+            ["scaffold"],
+        ),
         ("paper-f", ("terms", 2, "coeff"), "x", ["periods", "classical", "--symbolic"]),
         ("paper-f", ("terms", 2, "coeff"), "1/0", ["periods", "classical", "--symbolic"]),
         ("paper-f", ("terms", 2, "exp"), ["a", 1], ["periods", "classical", "--symbolic"]),
@@ -138,9 +145,9 @@ def test_polygon_invalid_input(capsys, tmp_path):
     ],
     ids=[
         "vertex-string", "vertices-flat", "vertex-float", "n_u_rank-string",
-        "divisor-string", "fiber_check-int", "coeff-unknown-name", "coeff-div-zero",
-        "exp-string", "assign-div-zero", "file-assign-div-zero", "terms-int",
-        "laurent-wrong-rank",
+        "divisor-string", "fiber_check-int", "strut-all-zero", "coeff-unknown-name",
+        "coeff-div-zero", "exp-string", "assign-div-zero", "file-assign-div-zero",
+        "terms-int", "laurent-wrong-rank",
     ],
 )
 def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value, argv):
@@ -161,6 +168,36 @@ def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value
     assert out == ""
     assert err.startswith("error: SchemaError: ")
     assert err.count("\n") == 1
+
+
+def test_class_rank_four(capsys, tmp_path):
+    """A fifth strut gives class rank 4: the scaffold report is computed, and
+    the quantum side, whose cones stop at rank 3, exits 2 with one line."""
+    fixtures = resources.files("fanokit").joinpath("fixtures")
+    scaffolding = json.loads(fixtures.joinpath("paper-scaffolding.json").read_text())
+    for key in ("class_basis", "fiber_check", "irrelevant_product", "target"):
+        del scaffolding[key]
+    scaffolding["struts"].append({"name": "w", "divisor": [-1, 1], "chi": [3]})
+    paper = json.loads(fixtures.joinpath("paper.json").read_text())
+    paper["scaffolding"] = scaffolding
+    rank4 = tmp_path / "rank4.json"
+    rank4.write_text(json.dumps(scaffolding))
+    compare_in = tmp_path / "compare.json"
+    compare_in.write_text(json.dumps(paper))
+
+    report = run_json(capsys, "scaffold", "--in", str(rank4))
+    assert len(report["cox"]["weight_matrix"]) == 4
+    assert len(report["sections"]) == 3
+    assert report["family"]["params"] == ["s1"]
+
+    for argv in (
+        ["periods", "quantum", "--in", str(rank4)],
+        ["periods", "compare", "--in", str(compare_in)],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--order", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: SchemaError: quantum periods need class rank <= 3, not 4\n"
 
 
 def test_unknown_fixture(capsys):

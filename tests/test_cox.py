@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 
@@ -248,6 +249,39 @@ def test_section_monomials_oracles():
     bad = CoxPresentation(("a", "b"), ((1,), (-1,)), ((0,), (1,)), ((1, -1),))
     with pytest.raises(Unbounded):
         section_monomials(bad, (0,))
+
+
+FANO_POLYGONS = {
+    "P2": ((1, 0), (0, 1), (-1, -1)),
+    "P1xP1": ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    "dP7": ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)),
+    "dP6": ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+    "paper-P": ((2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)),
+    "octagon": ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FANO_POLYGONS))
+def test_anticanonical_sections_are_polar_points(name):
+    """On the face fan of a Fano polygon P, the sections of -K are the
+    lattice points of the polar polygon {m : <m, v> >= -1 for v in P}."""
+    verts = FANO_POLYGONS[name]
+    n = len(verts)
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    assert all(a * d - b * c > 0 for (a, b), (c, d) in edges)
+    # Polar vertex of edge (a, b)-(c, d): <m, (a, b)> = <m, (c, d)> = -1.
+    corners = [
+        (Fraction(b - d, a * d - b * c), Fraction(c - a, a * d - b * c))
+        for (a, b), (c, d) in edges
+    ]
+    axes = [
+        range(floor(min(p[i] for p in corners)), ceil(max(p[i] for p in corners)) + 1)
+        for i in range(2)
+    ]
+    count = sum(1 for m in product(*axes) if all(dot(m, v) >= -1 for v in verts))
+    cox = cox_presentation(verts, [(i, (i + 1) % n) for i in range(n)])
+    assert cox.class_rank == n - 2
+    assert len(section_monomials(cox, cox.anticanonical)) == count
 
 
 def assert_family_spans_sections(cox, eq, fam):

@@ -97,6 +97,56 @@ def test_integer_points_simplex():
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
+F = Fraction
+UNIT4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "dim, normals, bounds, count",
+    [
+        # -3/2 <= x <= 7/3
+        (1, [(2,), (-3,)], [-3, -7], 4),
+        (2, [(1, 0), (-1, 0), (0, 3), (-1, -2)], [F(1, 2), F(-7, 2), F(-5, 3), F(-9, 2)],
+         5),
+        # x = 1/2 exactly: a rational point but no lattice point
+        (2, [(2, 0), (-2, 0), (0, 1), (0, -1)], [1, -1, 0, -3], 0),
+        # x, y >= 0 and x + y <= -1: elimination ends in 0 >= 1
+        (2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1], 0),
+        (4, UNIT4 + [(-1, -1, -1, -1)], [0, 0, 0, 0, -2], 15),
+        (4, UNIT4 + [(-1, -2, -1, -3)], [F(-1, 3), -1, 0, F(1, 2), F(-11, 2)], 25),
+    ],
+    ids=[
+        "dim-1", "fraction-bounds", "rational-point-only", "false-row",
+        "dim-4-simplex", "dim-4-fraction",
+    ],
+)
+def test_integer_points_match_a_scan(dim, normals, bounds, count):
+    """Lattice points, including empty regions, against a scan of [-6, 6]^dim."""
+    expected = [
+        p
+        for p in product(range(-6, 7), repeat=dim)
+        if all(dot(n, p) >= b for n, b in zip(normals, bounds))
+    ]
+    assert len(expected) == count
+    assert integer_points(halfspaces(dim, normals, bounds)) == expected
+
+
+@pytest.mark.parametrize(
+    "dim, normals, bounds",
+    [
+        (1, [(1,)], [0]),
+        (2, [], []),
+        # Empty (1 <= x <= 0), and y >= 0 has no upper bound.
+        (2, [(1, 0), (-1, 0), (0, 1)], [1, 0, 0]),
+        (4, UNIT4 + [(-1, -1, -1, 0)], [0, 0, 0, 0, -2]),
+    ],
+    ids=["dim-1-ray", "no-inequalities", "empty-with-recession", "dim-4-cylinder"],
+)
+def test_integer_points_unbounded(dim, normals, bounds):
+    with pytest.raises(Unbounded):
+        integer_points(halfspaces(dim, normals, bounds))
+
+
 def test_integer_points_box_oracle_random():
     rng = random.Random(515)
     for _ in range(50):
