@@ -6,16 +6,32 @@ and takes its clean-up, immutability and product loop from that core.  The
 classical period of f is the generating function of the constant terms of
 its powers: pi_f(t) = sum_k [const term of f^k] t^k.
 
-classical_period multiplies out f, f^2, ..., f^order and prunes each power
-to the terms that can still reach the constant term of f^order.  A term x^e
-of f^k can only if -e lies in (order - k)*Newt(f), so for any linear
-functional l it is dropped when -l(e) > (order - k) * max l(a) over the
-support of f; that is sound for every l.  The functionals are the +-unit
-vectors and, in dimension 2, the edge normals of the Newton polygon.  When
-no coefficient is a ParamPoly, the loop runs on int coefficients: with D the
-lcm of the coefficient denominators it powers D*f, and the constant term of
-f^k is that of (D*f)^k divided by D^k.  Symbolic and partly specialized f
-keep their coefficients and are only pruned.
+classical_period takes the constant terms from half the powers.  With
+K = order and a = floor(k/2), const(f^k) = sum_e [f^a]_e * [f^(k-a)]_(-e),
+so f^1 .. f^J, J = ceil(K/2), give every constant term through t^K: once
+f^j is built, the terms of f^(2j-1) and f^(2j) are read off, and f^(j-1)
+is dropped, so at most two powers are held.  Each f^j is pruned to the
+terms that can still pair with a power of index at most K - j: x^e is kept
+only if -l(e) <= (K - j) * h_l, h_l = max l over the support of f, for every
+pruning functional l (the +-unit vectors and, in dimension 2, the edge
+normals of the Newton polygon).  The rule is sound for every l, and a
+kept term of f^j only needs kept terms of f^(j-1).  If some h_l < 0 the
+origin lies outside Newt(f), no e pairs with -e, and every coefficient
+after the first is 0.
+
+Exponents are packed into one int each, pack(e) = sum e_i * B^i in
+balanced base B = 2R + 1 with R = K * max |e_i| over the support of f (at
+least 1).  Every exponent of a power up to f^K has coordinates in [-R, R],
+where balanced digits are unique, so pack is injective there, and it is
+linear: pack(e1 + e2) = pack(e1) + pack(e2) and pack(-e) = -pack(e).  A
+product adds two ints, and the pairing partner of p is -p.  Each kept term
+also carries its margins m_l = l(e) + (K - j) * h_l >= 0 as fields of one
+int; a product's margins are its factors' margins plus the fields
+l(s) - h_l of the term s of f, so the prune test is one addition and one
+mask per new term.  When no coefficient is a ParamPoly the powers run on
+int coefficients: with D the lcm of the coefficient denominators they are
+powers of D*f, and const(f^k) = const((D*f)^k) / D^k.  Symbolic and partly
+specialized f keep their coefficients.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -101,30 +117,95 @@ def _support_bounds(f):
     return [(l, max(_dot(l, e) for e in f.terms)) for l in ls]
 
 
+def _pack(e, base):
+    """sum e_i * base**i: an exponent vector as one int in balanced ``base``."""
+    return sum(k * base**i for i, k in enumerate(e))
+
+
+def _fields(values, width):
+    """sum v_i * 2**(width*i): one int holding ``values`` in fields of ``width`` bits."""
+    return sum(v << (width * i) for i, v in enumerate(values))
+
+
+def _power_step(power, margins, g, mask):
+    """The next power and its margins: the terms of power * g that stay in reach.
+
+    ``power`` and ``margins`` map packed exponents to coefficients and
+    packed margins, ``g`` lists (packed exponent, coefficient, packed
+    l(s) - h_l) for the terms s of f.  A product term is kept when the
+    offset top bit of each margin field, ``mask``, is still set (no margin
+    went negative) and its coefficient is nonzero.
+    """
+    coeffs = {}
+    kept = {}
+    for p1, c1 in power.items():
+        m1 = margins[p1]
+        for p2, c2, m2 in g:
+            p = p1 + p2
+            c = coeffs.get(p)
+            if c is not None:
+                coeffs[p] = c + c1 * c2
+            else:
+                coeffs[p] = c1 * c2
+                m = m1 + m2
+                if m & mask == mask:
+                    kept[p] = m
+    return {p: c for p in kept if (c := coeffs[p]) != 0}, kept
+
+
+def _paired_constant(a, b):
+    """sum a[p] * b[-p], over the smaller of two packed term maps.
+
+    When a is b (an even power) each pair p, -p is taken once and doubled.
+    """
+    if a is b:
+        c0 = a.get(0, 0)
+        return c0 * c0 + 2 * sum(c * a[-p] for p, c in a.items() if p > 0 and -p in a)
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(c * b[-p] for p, c in a.items() if -p in b)
+
+
 def classical_period(f, order):
     """Series of constant terms of f^k, k = 0..order, exact at every order.
 
-    Each power drops the terms that cannot reach the constant term of
-    f^order, and is taken on int coefficients when f has no ParamPoly
-    coefficient; the module docstring states both rules.  A constant term
-    is dropped only when it is zero.
+    Builds only f^1 .. f^ceil(order/2), pruned, on packed exponents and,
+    when f has no ParamPoly coefficient, int coefficients, holding two
+    powers at a time; each constant term pairs two of them.  The module
+    docstring states the pairing, the prune rule, the packing and the
+    scaling.  A zero constant term is Fraction(0).
     """
     symbolic = any(isinstance(c, ParamPoly) for c in f.terms.values())
     scale = 1 if symbolic else lcm(*(Fraction(c).denominator for c in f.terms.values()))
-    g = f if symbolic else LaurentPolynomial(
-        f.dim, f.params, {e: int(c * scale) for e, c in f.terms.items()}
-    )
-    bounds = _support_bounds(g)
+    bounds = _support_bounds(f)
     coeffs = [Fraction(1)]
-    power = LaurentPolynomial(f.dim, f.params, {(0,) * f.dim: 1})
-    for k in range(1, order + 1):
-        limits = [(l, -(order - k) * h) for l, h in bounds]
-        terms = (power * g).terms
-        power = LaurentPolynomial(f.dim, f.params, {
-            e: c for e, c in terms.items() if all(_dot(l, e) >= m for l, m in limits)
-        })
-        c = power.constant_term()
-        coeffs.append(c if symbolic else Fraction(c, scale**k))
+    if any(h < 0 for _, h in bounds):
+        return PowerSeries(order, coeffs)
+    base = 2 * max(order * max((abs(k) for e in f.terms for k in e), default=0), 1) + 1
+    # Every h_l >= 0 from here on.  Margins of kept terms lie in
+    # [0, order*h_l] and those of candidate products in
+    # [-(h_l - min l), order*h_l], inside (-half, half): stored plus `half`,
+    # every field stays in [0, 2*half), so no field borrows from the next,
+    # and its top bit is set exactly when the margin is >= 0.
+    spans = [h - min(_dot(l, e) for e in f.terms) for l, h in bounds]
+    half = 1 << max([order * h for _, h in bounds] + spans, default=0).bit_length()
+    width = half.bit_length()
+    mask = _fields([half] * len(bounds), width)
+    g = [
+        (_pack(e, base), c if symbolic else int(c * scale),
+         _fields([_dot(l, e) - h for l, h in bounds], width))
+        for e, c in f.terms.items()
+    ]
+    prev, margins = {0: 1}, {0: _fields([order * h + half for _, h in bounds], width)}
+    for j in range(1, (order + 1) // 2 + 1):
+        power, margins = _power_step(prev, margins, g, mask)
+        for k, low in ((2 * j - 1, prev), (2 * j, power)):
+            if k <= order:
+                c = _paired_constant(low, power)
+                if not symbolic:
+                    c = Fraction(c, scale**k)
+                coeffs.append(c if c != 0 else Fraction(0))
+        prev = power
     return PowerSeries(order, coeffs)
 
 
@@ -164,6 +245,9 @@ def laurent_from_json(data):
     if not isinstance(data, dict) or "terms" not in data:
         raise SchemaError("laurent JSON needs a 'terms' list")
     params = tuple(json_list(data.get("params", []), "params"))
+    for i, p in enumerate(params):
+        if p in params[:i]:
+            raise SchemaError(f"repeated parameter {p!r}")
     terms = {}
     dim = None
     for item in json_list(data["terms"], "terms"):
@@ -173,6 +257,8 @@ def laurent_from_json(data):
         dim = len(e) if dim is None else dim
         if len(e) != dim:
             raise SchemaError("inconsistent exponent arity")
+        if e in terms:
+            raise SchemaError(f"repeated exponent {list(e)}")
         try:
             terms[e] = parse_coeff(item["coeff"], params)
         except ValueError as err:

@@ -76,6 +76,7 @@ def test_json_output_is_byte_identical(capsys):
         ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
         ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
         ("quantum-paper-order60", ["periods", "quantum", "--fixture", "paper", "--order", "60"]),
+        ("compare-paper-order60", ["periods", "compare", "--fixture", "paper", "--order", "60"]),
     ],
 )
 def test_json_output_matches_golden(capsys, name, argv):
@@ -142,12 +143,24 @@ def test_polygon_invalid_input(capsys, tmp_path):
             },
             ["periods", "compare"],
         ),
+        (
+            "paper-f",
+            ("terms",),
+            [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "2"}],
+            ["periods", "classical", "--symbolic"],
+        ),
+        (
+            "paper-f",
+            ("params",),
+            ["a1", "a2", "b1", "b2", "c1", "c2", "d", "d"],
+            ["periods", "classical", "--symbolic", "--order", "2"],
+        ),
     ],
     ids=[
         "vertex-string", "vertices-flat", "vertex-float", "n_u_rank-string",
         "divisor-string", "fiber_check-int", "strut-all-zero", "coeff-unknown-name",
         "coeff-div-zero", "exp-string", "assign-div-zero", "file-assign-div-zero",
-        "terms-int", "laurent-wrong-rank",
+        "terms-int", "laurent-wrong-rank", "exp-repeated", "param-repeated",
     ],
 )
 def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value, argv):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanokit.laurent
 from fanokit.errors import SchemaError
 from fanokit.laurent import (
     LaurentPolynomial,
@@ -15,6 +17,7 @@ from fanokit.laurent import (
     laurent_from_json,
     laurent_to_json,
 )
+from fanokit.linalg import mat_mul
 from fanokit.polygon import validate_fano
 from fanokit.series import PowerSeries
 from fanokit.symbolic import ParamPoly
@@ -107,32 +110,47 @@ def laurent(dim, terms):
         # ParamPoly and Fraction coefficients side by side
         (hex_laurent().specialize({"a1": Fraction(1, 2), "b2": Fraction(-2, 3), "c1": 0}), 4),
         (p2_laurent(), 0),
+        # orders 0..3, 9 and 10 pair f^a with f^(k-a) for odd and even k:
+        # x + y + 1/(xy) + 2x/y - 1/2
+        *((laurent(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (1, -1): 2, (0, 0): "-1/2"}), k)
+          for k in (0, 1, 2, 3, 9, 10)),
+        # 0-dimensional: the constant 3/2
+        (laurent(0, {(): "3/2"}), 5),
+        (laurent(1, {(1,): 1, (-1,): 2, (0,): 3}), 9),
+        (laurent(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1,
+                     (1, 1, -1): "1/2", (0, 0, 0): -3}), 7),
+        # the packing radius is set by one far exponent: x^7 + 1/x + y + 2/y + 1/(xy)
+        (laurent(2, {(7, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 2, (-1, -1): 1}), 9),
+        # every exponent has x-degree >= 1: all coefficients for k >= 1 are 0
+        (laurent(2, {(1, -3): 1, (2, 5): -1, (1, 0): "1/2"}), 9),
     ],
     ids=["dim1", "dim3", "segment", "origin-outside", "denominators", "symbolic",
-         "partly-specialized", "order0"],
+         "partly-specialized", "order0", "order0-2d", "order1", "order2", "order3",
+         "order9", "order10", "dim0", "dim1-odd", "dim3-odd", "far-exponent", "one-side"],
 )
 def test_classical_period_matches_the_plain_power_loop(f, order):
     assert classical_period(f, order) == reference_period(f, order)
 
 
 def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(monkeypatch):
-    """Term products of the paper polynomial's power loop at order 12.
+    """Term products of the paper polynomial's kernel at order 12.
 
-    The plain loop makes 58,680; pruning to -e in (12 - k)*Newt(f) leaves
-    17,380.
+    The plain loop over f^1 .. f^12 makes 58,680; pruning to -e in
+    (12 - k)*Newt(f) leaves 17,380, and building only f^1 .. f^6, whose
+    pairs give every constant term, leaves 6,000.
     """
     f = hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0})
     products = []
-    plain_mul = LaurentPolynomial.__mul__
+    plain_step = fanokit.laurent._power_step
 
-    def counting_mul(a, b):
-        products.append(len(a.terms) * len(b.terms))
-        return plain_mul(a, b)
+    def counting_step(power, margins, g, mask):
+        products.append(len(power) * len(g))
+        return plain_step(power, margins, g, mask)
 
-    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    monkeypatch.setattr("fanokit.laurent._power_step", counting_step)
     classical_period(f, 12)
-    assert len(products) == 12
-    assert sum(products) == 17380
+    assert len(products) == 6
+    assert sum(products) == 6000
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,6 +165,27 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
 def test_classical_period_property(terms, order):
     f = LaurentPolynomial(2, (), terms)
     assert classical_period(f, order) == reference_period(f, order)
+
+
+UNIMODULAR_GENERATORS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=6,
+    ),
+    gens=st.lists(st.sampled_from(UNIMODULAR_GENERATORS), max_size=8),
+    order=st.integers(0, 8),
+)
+def test_classical_period_is_invariant_under_unimodular_substitution(terms, gens, order):
+    """GL2(Z) acts on exponents: the packed exponents of f and of f after
+    x^e -> x^(g e) differ in size and sign, the period does not."""
+    g = reduce(mat_mul, gens, ((1, 0), (0, 1)))
+    f = LaurentPolynomial(2, (), terms)
+    assert classical_period(f.monomial_substitution(g), order) == classical_period(f, order)
 
 
 def test_laurent_basics():
@@ -291,3 +330,7 @@ def test_laurent_json_errors():
         laurent_from_json({"terms": [{"exp": [1], "coeff": "1"}, {"exp": [1, 0], "coeff": "1"}]})
     with pytest.raises(SchemaError):
         laurent_from_json({"terms": []})
+    with pytest.raises(SchemaError, match=r"repeated exponent \[1\]"):
+        laurent_from_json({"terms": [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "2"}]})
+    with pytest.raises(SchemaError, match="repeated parameter 'a'"):
+        laurent_from_json({"params": ["a", "a"], "terms": [{"exp": [1], "coeff": "a"}]})
