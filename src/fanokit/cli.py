@@ -50,7 +50,7 @@ def _load_input(args):
         source = {"file": args.infile}
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise SchemaError(f"malformed JSON: {e}") from None
     provenance = {
         "input_sha256": hashlib.sha256(raw).hexdigest(),

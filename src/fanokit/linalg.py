@@ -261,6 +261,21 @@ def kernel_basis(M):
     return tuple(cols)
 
 
+def kernel_vector(rows):
+    """Primitive generator of the kernel of n - 1 integer rows of length n.
+
+    Entry j is (-1)^j times the minor that leaves out column j, so <v, x> is
+    the determinant of x stacked on the rows, which vanishes for each row.  In
+    length 3 this is the cross product; with no rows it is (1,), since the
+    empty determinant is 1.  Returns None when the rank is below n - 1.
+    """
+    rows = mat_freeze(rows)
+    v = tuple(
+        (-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(len(rows) + 1)
+    )
+    return primitive(v) if any(v) else None
+
+
 def solve_integer(M, b):
     """One integer solution of M x = b, or None when none exists."""
     M = mat_freeze(M)

@@ -260,7 +260,7 @@ def run_classical(data, order, symbolic=False, assignments=None):
 
 
 def _quantum_period(st, order):
-    """quantum_period on a Cox stage; its cone computations stop at class rank 3."""
+    """quantum_period on a Cox stage, up to the class rank an oracle has checked."""
     if st.cox.class_rank > 3:
         raise SchemaError(
             f"quantum periods need class rank <= 3, not {st.cox.class_rank}"

@@ -1,11 +1,11 @@
 """Exact polyhedral computations.
 
 A region is described by a HalfspaceSystem: inequalities <n_i, x> >= b_i with
-integer normals and rational bounds.  Ray enumeration for cones (all bounds
-zero) and vertex enumeration work in ambient dimension <= 3: in dimension 3
-every extreme ray is the cross product of two constraint normals, in dimension
-2 a rotated normal, and a vertex solves dim tight inequalities.  Lattice points
-are enumerated in any dimension, by Fourier-Motzkin elimination (integer_points).
+integer normals and rational bounds.  Everything works in any ambient
+dimension.  Every extreme ray of a pointed cone (all bounds zero) spans the
+kernel of dim - 1 of its normals, which linalg.kernel_vector reads off their
+signed maximal minors; vertices are the rays of the homogenized cone, and
+lattice points come from Fourier-Motzkin elimination (integer_points).
 
 Everything is pure and deterministic; ray and point lists come back sorted.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import Unbounded
-from .linalg import dot, identity, kernel_basis, primitive, solve_rational
+from .linalg import dot, identity, kernel_basis, kernel_vector
 
 
 @dataclass(frozen=True)
@@ -68,38 +68,24 @@ def halfspaces(dim, normals, bounds=None):
 
 
 def _ray_candidates(dim, normals):
+    """Both primitive directions of every line cut out by dim - 1 normals."""
     cands = set()
-    if dim == 1:
-        cands.update([(1,), (-1,)])
-    elif dim == 2:
-        for a, b in normals:
-            for v in ((-b, a), (b, -a)):
-                if v != (0, 0):
-                    cands.add(primitive(v))
-    else:
-        for n1, n2 in combinations(normals, 2):
-            c = (
-                n1[1] * n2[2] - n1[2] * n2[1],
-                n1[2] * n2[0] - n1[0] * n2[2],
-                n1[0] * n2[1] - n1[1] * n2[0],
-            )
-            if c != (0, 0, 0):
-                p = primitive(c)
-                cands.add(p)
-                cands.add(tuple(-x for x in p))
+    for rows in combinations(normals, dim - 1):
+        v = kernel_vector(rows)
+        if v is not None:
+            cands.add(v)
+            cands.add(tuple(-a for a in v))
     return cands
 
 
 def dual_cone(hs):
-    """Extreme rays of the cone {x : <n_i, x> >= 0}.
+    """Extreme rays of the cone {x : <n_i, x> >= 0}, in any dimension.
 
     Interpreting the normals as generators, this is the dual cone; applying it
     twice to the rays of a pointed full-dimensional cone returns the same ray
     set.  A system whose normals do not span the ambient space has a lineality
     space, returned as an explicit basis with no ray decomposition.
     """
-    if hs.dim > 3:
-        raise ValueError("dual_cone supports ambient dimension <= 3 only")
     if any(b != 0 for b in hs.bounds):
         raise ValueError("dual_cone expects homogeneous inequalities")
     lin = kernel_basis(hs.normals) if hs.normals else identity(hs.dim)
@@ -120,25 +106,18 @@ def cone_from_rays(dim, rays):
 def vertices(hs):
     """All vertices of the (bounded) region, sorted, as Fraction tuples.
 
-    Each vertex is the unique solution of ``dim`` tight inequalities of full
-    rank and satisfies the whole system.  Raises Unbounded when the recession
-    cone is nontrivial.
+    With b_i = p_i / q_i, the vertices are the extreme rays (x, t) with t > 0
+    of the homogenized cone {(x, t) : q_i <n_i, x> >= p_i t, t >= 0}, scaled
+    to t = 1.  Its face t = 0 is the recession cone, so a lineality space or
+    a ray with t = 0 raises Unbounded.  An empty region gives [].
     """
-    if hs.dim > 3:
-        raise ValueError("vertices supports ambient dimension <= 3 only")
-    rec = dual_cone(halfspaces(hs.dim, hs.normals))
-    if rec.lineality or rec.rays:
+    rows = [(0,) * hs.dim + (1,)]
+    for n, b in zip(hs.normals, map(Fraction, hs.bounds)):
+        rows.append(tuple(b.denominator * a for a in n) + (-b.numerator,))
+    cone = dual_cone(halfspaces(hs.dim + 1, rows))
+    if cone.lineality or any(r[-1] == 0 for r in cone.rays):
         raise Unbounded("region has a nontrivial recession cone")
-    found = set()
-    for idx in combinations(range(len(hs.normals)), hs.dim):
-        A = [hs.normals[i] for i in idx]
-        b = [hs.bounds[i] for i in idx]
-        x = solve_rational(A, b)
-        if x is None:
-            continue
-        if hs.contains(x):
-            found.add(tuple(Fraction(c) for c in x))
-    return sorted(found)
+    return sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in cone.rays)
 
 
 def integer_points(hs):

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import NonSimplicial, Unbounded
-from .linalg import dot, kernel_basis, primitive, solve_integer, transpose, vec_sub
+from .linalg import dot, kernel_vector, primitive, solve_integer, transpose, vec_sub
 from .polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_points
 from .series import PowerSeries, regularize
 
@@ -31,7 +31,7 @@ class WallCurve:
 def walls(cox):
     """All wall curves of a complete simplicial fan.
 
-    The relation across a wall spans the kernel of the four incident rays;
+    The relation across a wall spans the kernel of its dim + 1 incident rays;
     its sign is fixed by positivity on the two cone-completing rays, and the
     curve class solves W^T l = relation.
     """
@@ -49,10 +49,9 @@ def walls(cox):
         k = next(iter(set(cox.max_cones[incident[0]]) - set(face)))
         l = next(iter(set(cox.max_cones[incident[1]]) - set(face)))
         involved = (k,) + face + (l,)
-        ker = kernel_basis(transpose([cox.rays[i] for i in involved]))
-        if len(ker) != 1:
+        lam = kernel_vector(transpose([cox.rays[i] for i in involved]))
+        if lam is None:
             raise NonSimplicial(f"wall {face} has a degenerate ray relation")
-        lam = primitive(ker[0])
         if lam[0] < 0:
             lam = tuple(-a for a in lam)
         if lam[0] <= 0 or lam[-1] <= 0:

@@ -134,7 +134,8 @@ class Scaffolding:
                 raise SchemaError(f"strut {st.name!r}: chi length mismatch")
             if not any(st.divisor) and not any(st.chi):
                 raise SchemaError(f"strut {st.name!r}: divisor and chi are all zero")
-            self.shape.moment_vertices(st.divisor)  # nef check
+            if any(d < 0 for d in self.shape.degrees(st.divisor)):
+                raise SchemaError("divisor is not nef on the shape variety")
         if self.target is not None:
             object.__setattr__(
                 self, "target", tuple(tuple(int(c) for c in v) for v in self.target)

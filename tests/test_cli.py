@@ -155,27 +155,34 @@ def test_polygon_invalid_input(capsys, tmp_path):
             ["a1", "a2", "b1", "b2", "c1", "c2", "d", "d"],
             ["periods", "classical", "--symbolic", "--order", "2"],
         ),
+        (None, None, b"\xff", ["polygon"]),
+        (None, None, b"[" * 100000, ["polygon"]),
     ],
     ids=[
         "vertex-string", "vertices-flat", "vertex-float", "n_u_rank-string",
         "divisor-string", "fiber_check-int", "strut-all-zero", "coeff-unknown-name",
         "coeff-div-zero", "exp-string", "assign-div-zero", "file-assign-div-zero",
         "terms-int", "laurent-wrong-rank", "exp-repeated", "param-repeated",
+        "invalid-utf8", "deep-nesting",
     ],
 )
 def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value, argv):
     """A fixture with one field replaced by a value of the wrong type or
-    an invalid number exits 2 with one error line, never a traceback."""
-    data = json.loads(
-        resources.files("fanokit").joinpath("fixtures", f"{fixture}.json").read_text()
-    )
-    if path is not None:
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+    an invalid number exits 2 with one error line, never a traceback.  Raw
+    bytes with no fixture (not UTF-8, nested too deeply) are the whole file."""
     infile = tmp_path / "bad.json"
-    infile.write_text(json.dumps(data))
+    if fixture is None:
+        infile.write_bytes(value)
+    else:
+        data = json.loads(
+            resources.files("fanokit").joinpath("fixtures", f"{fixture}.json").read_text()
+        )
+        if path is not None:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        infile.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, *argv, "--in", str(infile))
     assert code == 2
     assert out == ""
@@ -211,6 +218,25 @@ def test_class_rank_four(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err == "error: SchemaError: quantum periods need class rank <= 3, not 4\n"
+
+
+def test_many_shape_factors_fail_fast(capsys, tmp_path):
+    """Forty P^1 factors exit 2 at the dimension guard; the nef check reads
+    the divisor degrees instead of building all 2^40 moment vertices."""
+    struts = [
+        {"name": "a", "divisor": [1] * 80, "chi": [0]},
+        {"name": "b", "divisor": [0] * 80, "chi": [1]},
+    ]
+    infile = tmp_path / "p1x40.json"
+    infile.write_text(
+        json.dumps({"shape": {"projective_dims": [1] * 40}, "n_u_rank": 1, "struts": struts})
+    )
+    code, out, err = run_cli(capsys, "scaffold", "--in", str(infile))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: SchemaError: Q_S lives in dimension 81; this tool supports dimension <= 3\n"
+    )
 
 
 def test_unknown_fixture(capsys):

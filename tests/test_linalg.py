@@ -10,6 +10,7 @@ from fanokit.linalg import (
     invariant_factors,
     inverse_unimodular,
     kernel_basis,
+    kernel_vector,
     mat_mul,
     mat_vec,
     primitive,
@@ -156,6 +157,29 @@ def test_kernel_and_solve():
     assert l == (-4, 1, 1)
     assert mat_vec(A, l) == lam
     assert solve_integer(((2, 0), (0, 2)), (1, 0)) is None
+
+
+def test_kernel_vector_matches_kernel_basis():
+    """Signed maximal minors against the SNF kernel on random (n-1) x n rows."""
+    assert kernel_vector(()) == (1,)
+    assert kernel_vector(((1, 2, 3), (4, 5, 6))) == (-1, 2, -1)
+    rng = random.Random(88)
+    for n in range(2, 6):
+        for _ in range(40):
+            rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n - 1)]
+            v = kernel_vector(rows)
+            ker = kernel_basis(rows)
+            if len(ker) == 1:
+                assert v in (primitive(ker[0]), tuple(-a for a in primitive(ker[0])))
+                assert mat_vec(rows, v) == (0,) * (n - 1)
+            else:
+                assert v is None
+            # A row that is a combination of the others drops the rank.
+            if n > 2:
+                low = rows[:-1] + [tuple(2 * a - 3 * b for a, b in zip(rows[0], rows[-2]))]
+                assert kernel_vector(low) is None
+                assert len(kernel_basis(low)) >= 2
+    assert kernel_vector(((0, 0),)) is None
 
 
 def test_inverse_unimodular():

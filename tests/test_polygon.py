@@ -1,10 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from functools import reduce
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from fanokit.linalg import mat_vec
+from fanokit.linalg import mat_mul, mat_vec
 from fanokit.polygon import (
     CyclicQuotient2D,
     barycenter,
@@ -184,6 +189,35 @@ def test_random_polygons_polar_involution_and_invariance():
             Pg = validate_fano([mat_vec(g, v) for v in P.vertices])
             assert singularity_multiset(Pg) == singularity_multiset(P)
             assert qg_dimension(Pg) == qg_dimension(P)
+
+
+PAPER_P = json.loads(
+    resources.files("fanokit").joinpath("fixtures", "paper-P.json").read_text()
+)["vertices"]
+GL2_GENERATORS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))]
+
+
+def _invariants(P):
+    return (
+        singularity_multiset(P),
+        qg_dimension(P),
+        normalized_volume(polar(P)),
+        is_k_polystable(P),
+        len(lattice_symmetries(P)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    verts=st.sampled_from([PAPER_P, P2, SQUARE]),
+    word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=12),
+)
+def test_invariants_under_gl2z(verts, word):
+    """Singularities, qG-dimension, polar volume, K-polystability and the
+    symmetry order do not change under a word in the generators of GL2(Z)."""
+    g = reduce(mat_mul, word, ((1, 0), (0, 1)))
+    P = validate_fano(verts)
+    assert _invariants(validate_fano([mat_vec(g, v) for v in verts])) == _invariants(P)
 
 
 def test_lattice_points_hexagon():

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from fanokit.errors import Unbounded
-from fanokit.linalg import dot, rank
+from fanokit.linalg import dot, rank, solve_rational
 from fanokit.polyhedra import (
     ConeV,
     cone_from_rays,
@@ -43,9 +44,19 @@ def test_dual_cone_zero_cone():
     assert cone.rays == () and cone.is_pointed
 
 
-def test_dual_cone_dim_guard():
-    with pytest.raises(ValueError):
-        dual_cone(halfspaces(4, [(1, 0, 0, 0)]))
+def test_dual_cone_dim_4():
+    """Rays, the dual-cone involution and the lineality flag in dimension 4."""
+    unit = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert dual_cone(halfspaces(4, unit)).rays == tuple(reversed(unit))
+    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2), (0, 1, 2, 1)]
+    facets = dual_cone(halfspaces(4, rays)).rays
+    assert all(dot(f, r) >= 0 for f in facets for r in rays)
+    assert set(dual_cone(halfspaces(4, list(facets))).rays) == set(rays)
+    cone = dual_cone(halfspaces(4, unit[:3] + [(1, 1, 1, 0)]))
+    assert not cone.is_pointed and cone.rays == ()
+    assert cone.lineality in (((0, 0, 0, 1),), ((0, 0, 0, -1),))
+    simplex = halfspaces(4, unit + [(-1, -1, -1, -1)], [0, 0, 0, 0, -2])
+    assert vertices(simplex) == sorted([(0,) * 4] + [tuple(2 * a for a in e) for e in unit])
 
 
 def test_dual_cone_involution_random():
@@ -89,6 +100,43 @@ def test_vertices_unbounded():
         vertices(halfspaces(2, [(1, 0), (-1, 0)], [0, -1]))
     with pytest.raises(Unbounded):
         vertices(halfspaces(2, [], []))
+
+
+def _subset_solve_vertices(dim, normals, bounds):
+    """Vertices as the solutions of dim tight inequalities that satisfy all."""
+    found = set()
+    for idx in combinations(range(len(normals)), dim):
+        x = solve_rational([normals[i] for i in idx], [bounds[i] for i in idx])
+        if x is not None and all(dot(n, x) >= b for n, b in zip(normals, bounds)):
+            found.add(x)
+    return sorted(found)
+
+
+def test_vertices_match_a_subset_solve():
+    """Random systems in dimensions 1-3 with Fraction bounds; a region is
+    unbounded exactly when integer_points finds a coordinate without a bound."""
+    rng = random.Random(606)
+    kinds = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        normals, bounds = [], []
+        for _ in range(rng.randint(0, d + 4)):
+            n = tuple(rng.randint(-3, 3) for _ in range(d))
+            if any(n):
+                normals.append(n)
+                bounds.append(F(rng.randint(-8, 3), rng.randint(1, 4)))
+        hs = halfspaces(d, normals, bounds)
+        try:
+            integer_points(hs)
+        except Unbounded:
+            with pytest.raises(Unbounded):
+                vertices(hs)
+            kinds["unbounded"] += 1
+            continue
+        expected = _subset_solve_vertices(d, normals, bounds)
+        assert vertices(hs) == expected
+        kinds["bounded" if expected else "empty"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_integer_points_simplex():
