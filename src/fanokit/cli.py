@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid input, 3 violated mathematical
-precondition, 4 series comparison mismatch.  JSON output is deterministic
+precondition, 4 series comparison mismatch, 5 internal error (a bug: any
+other exception, reported on one line).  JSON output is deterministic
 (sorted keys, no timing); the text format adds a human-readable summary and
 elapsed time.
 """
@@ -262,12 +263,12 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, lines, code = _dispatch(args)
-    except InputError as e:
+    except (InputError, MathError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except MathError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, InputError) else 3
+    except Exception as e:
+        print(f"error: InternalError: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
+        return 5
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -19,19 +19,25 @@ kept term of f^j only needs kept terms of f^(j-1).  If some h_l < 0 the
 origin lies outside Newt(f), no e pairs with -e, and every coefficient
 after the first is 0.
 
-Exponents are packed into one int each, pack(e) = sum e_i * B^i in
-balanced base B = 2R + 1 with R = K * max |e_i| over the support of f (at
-least 1).  Every exponent of a power up to f^K has coordinates in [-R, R],
-where balanced digits are unique, so pack is injective there, and it is
-linear: pack(e1 + e2) = pack(e1) + pack(e2) and pack(-e) = -pack(e).  A
-product adds two ints, and the pairing partner of p is -p.  Each kept term
-also carries its margins m_l = l(e) + (K - j) * h_l >= 0 as fields of one
-int; a product's margins are its factors' margins plus the fields
-l(s) - h_l of the term s of f, so the prune test is one addition and one
-mask per new term.  When no coefficient is a ParamPoly the powers run on
-int coefficients: with D the lcm of the coefficient denominators they are
-powers of D*f, and const(f^k) = const((D*f)^k) / D^k.  Symbolic and partly
-specialized f keep their coefficients.
+The parameters a of f are exponent coordinates too: a ParamPoly coefficient
+c(a) of x^e is flattened into its terms q * x^e * a^alpha.  Each flat
+exponent (e, alpha) is packed into one int, the sum of its coordinates
+times B^i in balanced base B = 2R + 1, R = K * max |coordinate| over the
+flat support of f (at least 1).  Every exponent of a power up to f^K has
+coordinates in [-R, R], where balanced digits are unique, so pack is
+injective there, and it is linear, so a product adds two ints.  Each kept
+term also carries its margins m_l = l(e) + (K - j) * h_l >= 0 as fields of
+one int (l is 0 on alpha); a product's margins are its factors' margins
+plus the fields l(s) - h_l of the term s of f, so the prune test is one
+addition and one mask per new term.  With D the lcm of every rational
+coefficient, those inside ParamPolys included, the powers are those of
+D*f on int coefficients, and const(f^k) = const((D*f)^k) / D^k.
+
+Only the pairing sees the parameters.  Without them the partner of p is
+-p.  With them each power is grouped once by x-part, p = px + B^dim * pa
+with px balanced; the products of terms whose x-parts cancel are summed by
+packed exponent, whose digits past the x-part are alpha, in [0, R], and
+each sum is unpacked into one ParamPoly over f.params per order.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -42,6 +48,7 @@ interior lattice point, and 0 at the origin.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -127,6 +134,17 @@ def _fields(values, width):
     return sum(v << (width * i) for i, v in enumerate(values))
 
 
+def _flat_terms(f):
+    """(e + alpha, q) for the terms q * x^e * a^alpha of f, alpha over f.params."""
+    for e, c in f.terms.items():
+        names, terms = (c.params, c.terms) if isinstance(c, ParamPoly) else ((), {(): c})
+        for p in set(names) - set(f.params):
+            raise ValueError(f"coefficient parameter {p!r} is not in {list(f.params)}")
+        for a, q in terms.items():
+            alpha = dict(zip(names, a))
+            yield e + tuple(alpha.get(p, 0) for p in f.params), Fraction(q)
+
+
 def _power_step(power, margins, g, mask):
     """The next power and its margins: the terms of power * g that stay in reach.
 
@@ -166,22 +184,43 @@ def _paired_constant(a, b):
     return sum(c * b[-p] for p, c in a.items() if -p in b)
 
 
+def _by_x_part(power, xbase):
+    """{px: [(p, c)]}: the terms of a power by x-part px, p = px + xbase * pa."""
+    out = {}
+    for p, c in power.items():
+        out.setdefault((p + xbase // 2) % xbase - xbase // 2, []).append((p, c))
+    return out
+
+
+def _paired_params(a, b, denom, params, base, dim):
+    """The ParamPoly (or Fraction(0)) of const_x(a * b) / denom, a and b by x-part."""
+    sums = {}
+    for px, low in a.items():
+        for p, c in low:
+            for q, d in b.get(-px, ()):
+                sums[p + q] = sums.get(p + q, 0) + c * d
+    digits = range(dim, dim + len(params))
+    out = ParamPoly(params, {tuple(s // base**i % base for i in digits): Fraction(c, denom)
+                             for s, c in sums.items()})
+    return out if out.terms else Fraction(0)
+
+
 def classical_period(f, order):
     """Series of constant terms of f^k, k = 0..order, exact at every order.
 
-    Builds only f^1 .. f^ceil(order/2), pruned, on packed exponents and,
-    when f has no ParamPoly coefficient, int coefficients, holding two
-    powers at a time; each constant term pairs two of them.  The module
-    docstring states the pairing, the prune rule, the packing and the
-    scaling.  A zero constant term is Fraction(0).
+    Builds only f^1 .. f^ceil(order/2), pruned, on packed exponents, with
+    the parameters of f as extra coordinates, and int coefficients, holding
+    two powers at a time; the module docstring states the pairing, the
+    prune rule, the packing, the scaling and the unpacking into ParamPoly
+    coefficients.  A zero constant term is Fraction(0).
     """
-    symbolic = any(isinstance(c, ParamPoly) for c in f.terms.values())
-    scale = 1 if symbolic else lcm(*(Fraction(c).denominator for c in f.terms.values()))
+    flat = list(_flat_terms(f))
+    scale = lcm(*(q.denominator for _, q in flat))
     bounds = _support_bounds(f)
     coeffs = [Fraction(1)]
     if any(h < 0 for _, h in bounds):
         return PowerSeries(order, coeffs)
-    base = 2 * max(order * max((abs(k) for e in f.terms for k in e), default=0), 1) + 1
+    base = 2 * max(order * max((abs(k) for e, _ in flat for k in e), default=0), 1) + 1
     # Every h_l >= 0 from here on.  Margins of kept terms lie in
     # [0, order*h_l] and those of candidate products in
     # [-(h_l - min l), order*h_l], inside (-half, half): stored plus `half`,
@@ -192,19 +231,21 @@ def classical_period(f, order):
     width = half.bit_length()
     mask = _fields([half] * len(bounds), width)
     g = [
-        (_pack(e, base), c if symbolic else int(c * scale),
-         _fields([_dot(l, e) - h for l, h in bounds], width))
-        for e, c in f.terms.items()
+        (_pack(e, base), int(q * scale), _fields([_dot(l, e) - h for l, h in bounds], width))
+        for e, q in flat
     ]
-    prev, margins = {0: 1}, {0: _fields([order * h + half for _, h in bounds], width)}
+    view, pair = (lambda power: power), (lambda a, b, d: Fraction(_paired_constant(a, b), d))
+    if f.params:
+        view = partial(_by_x_part, xbase=base**f.dim)
+        pair = partial(_paired_params, params=f.params, base=base, dim=f.dim)
+    raw, margins = {0: 1}, {0: _fields([order * h + half for _, h in bounds], width)}
+    prev = view(raw)
     for j in range(1, (order + 1) // 2 + 1):
-        power, margins = _power_step(prev, margins, g, mask)
+        raw, margins = _power_step(raw, margins, g, mask)
+        power = view(raw)
         for k, low in ((2 * j - 1, prev), (2 * j, power)):
             if k <= order:
-                c = _paired_constant(low, power)
-                if not symbolic:
-                    c = Fraction(c, scale**k)
-                coeffs.append(c if c != 0 else Fraction(0))
+                coeffs.append(pair(low, power, scale**k))
         prev = power
     return PowerSeries(order, coeffs)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
 from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, vec_sub
@@ -246,15 +246,6 @@ def normalized_volume(Q):
     return abs(total)
 
 
-def normalized_volume_from_first_vertex(Q):
-    """Same value via triangulation from the first vertex; a cross-check."""
-    v0 = Q.vertices[0]
-    total = Fraction(0)
-    for i in range(1, len(Q.vertices) - 1):
-        total += _cross(vec_sub(Q.vertices[i], v0), vec_sub(Q.vertices[i + 1], v0))
-    return abs(total)
-
-
 def barycenter(Q):
     """Exact centroid, by triangulating from the first vertex."""
     v0 = Q.vertices[0]
@@ -335,31 +326,3 @@ def classify_lattice_point(P, p):
         if _cross(vec_sub(b, a), vec_sub(p, a)) == 0:
             return "edge"
     return "interior"
-
-
-def polar_facet_interior_points(P):
-    """Interior lattice points of the polar's facets (informational).
-
-    Returns {edge index of polar: [points]} with only nonempty entries; an
-    empty dict means no facet of the polar dual contains interior lattice
-    points.
-    """
-    Q = polar(P)
-    out = {}
-    for i, (u, v) in enumerate(Q.edges()):
-        d = vec_sub(v, u)
-        pts = []
-        for x in range(ceil(min(u[0], v[0])), floor(max(u[0], v[0])) + 1):
-            for y in range(ceil(min(u[1], v[1])), floor(max(u[1], v[1])) + 1):
-                p = (Fraction(x), Fraction(y))
-                if p == u or p == v:
-                    continue
-                if _cross(d, vec_sub(p, u)) != 0:
-                    continue
-                # strictly between the endpoints
-                t = (p[0] - u[0]) / d[0] if d[0] else (p[1] - u[1]) / d[1]
-                if 0 < t < 1:
-                    pts.append((x, y))
-        if pts:
-            out[i] = sorted(pts)
-    return out

@@ -98,11 +98,6 @@ def dual_cone(hs):
     return ConeV(hs.dim, tuple(rays))
 
 
-def cone_from_rays(dim, rays):
-    """Facet description of cone(rays): the dual computation in reverse."""
-    return dual_cone(halfspaces(dim, [tuple(r) for r in rays]))
-
-
 def vertices(hs):
     """All vertices of the (bounded) region, sorted, as Fraction tuples.
 

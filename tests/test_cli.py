@@ -77,6 +77,10 @@ def test_json_output_is_byte_identical(capsys):
         ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
         ("quantum-paper-order60", ["periods", "quantum", "--fixture", "paper", "--order", "60"]),
         ("compare-paper-order60", ["periods", "compare", "--fixture", "paper", "--order", "60"]),
+        (
+            "classical-paper-f-order8-symbolic",
+            ["periods", "classical", "--fixture", "paper-f", "--order", "8", "--symbolic"],
+        ),
     ],
 )
 def test_json_output_matches_golden(capsys, name, argv):
@@ -84,6 +88,17 @@ def test_json_output_matches_golden(capsys, name, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):
+    def broken(f, order):
+        raise RuntimeError("kernel broke\nsecond line")
+
+    monkeypatch.setattr("fanokit.pipeline.classical_period", broken)
+    code, out, err = run_cli(capsys, "periods", "classical", "--fixture", "paper", "--order", "2")
+    assert code == 5
+    assert out == ""
+    assert err == "error: InternalError: RuntimeError: kernel broke second line\n"
 
 
 def test_polygon_smooth_square(capsys, tmp_path):

@@ -132,25 +132,94 @@ def test_classical_period_matches_the_plain_power_loop(f, order):
     assert classical_period(f, order) == reference_period(f, order)
 
 
-def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(monkeypatch):
-    """Term products of the paper polynomial's kernel at order 12.
+@pytest.mark.parametrize(
+    "f, order, steps, products",
+    [
+        (hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0}),
+         12, 6, 6000),
+        (hex_laurent(), 8, 4, 8162),
+    ],
+    ids=["specialized-order12", "symbolic-order8"],
+)
+def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(
+    monkeypatch, f, order, steps, products
+):
+    """Term products of the paper polynomial's kernel, all on ints.
 
-    The plain loop over f^1 .. f^12 makes 58,680; pruning to -e in
-    (12 - k)*Newt(f) leaves 17,380, and building only f^1 .. f^6, whose
-    pairs give every constant term, leaves 6,000.
+    Specialized at order 12, the plain loop over f^1 .. f^12 makes 58,680;
+    pruning to -e in (12 - k)*Newt(f) leaves 17,380, and building only
+    f^1 .. f^6, whose pairs give every constant term, leaves 6,000.  With
+    its six parameters as exponent coordinates, the symbolic order-8 period
+    makes 8,162 int products, and the only ParamPolys built are the emitted
+    coefficients (multiplying ParamPoly coefficients term by term built
+    7,024).
     """
-    f = hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0})
-    products = []
+    seen = []
+    built = []
     plain_step = fanokit.laurent._power_step
+    plain_init = ParamPoly.__init__
 
     def counting_step(power, margins, g, mask):
-        products.append(len(power) * len(g))
+        assert all(type(c) is int for c in power.values())
+        assert all(type(c) is int for _, c, _ in g)
+        seen.append(len(power) * len(g))
         return plain_step(power, margins, g, mask)
 
+    def counting_init(self, *args):
+        built.append(args)
+        plain_init(self, *args)
+
     monkeypatch.setattr("fanokit.laurent._power_step", counting_step)
-    classical_period(f, 12)
-    assert len(products) == 6
-    assert sum(products) == 6000
+    monkeypatch.setattr(ParamPoly, "__init__", counting_init)
+    classical_period(f, order)
+    assert len(seen) == steps
+    assert sum(seen) == products
+    assert len(built) <= 9
+
+
+def test_classical_period_rejects_a_parameter_missing_from_params():
+    f = LaurentPolynomial(
+        2, ("a",), {(1, 0): ParamPoly.variable("b", ("a", "b")), (-1, 0): Fraction(1)}
+    )
+    with pytest.raises(ValueError, match="'b'"):
+        classical_period(f, 2)
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def parametric_laurent(draw):
+    """A 2-D f whose coefficients mix Fractions, ParamPolys of degree <= 2 in
+    1-3 parameters, and constant ParamPolys."""
+    params = ("s", "t", "u")[: draw(st.integers(1, 3))]
+    alphas = st.tuples(*[st.integers(0, 2)] * len(params)).filter(lambda a: sum(a) <= 2)
+    coeffs = st.one_of(
+        RATIONALS,
+        st.dictionaries(alphas, RATIONALS, min_size=1, max_size=3).map(
+            lambda t: ParamPoly(params, t)
+        ),
+        RATIONALS.map(lambda q: ParamPoly.constant(q, params)),
+    )
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return LaurentPolynomial(2, params, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=parametric_laurent(), order=st.integers(0, 8))
+def test_symbolic_classical_period_property(f, order):
+    assert classical_period(f, order) == reference_period(f, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=parametric_laurent(), order=st.integers(0, 8), data=st.data())
+def test_symbolic_period_specializes_to_the_specialized_period(f, order, data):
+    """The scalar kernel, on the specialized f, as an oracle for the symbolic one."""
+    point = {p: data.draw(RATIONALS) for p in f.params}
+    assert (
+        classical_period(f, order).specialize(point)
+        == classical_period(f.specialize(point), order)
+    )
 
 
 @settings(max_examples=60, deadline=None)

