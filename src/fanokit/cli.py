@@ -1,10 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 violated mathematical
-precondition, 4 series comparison mismatch, 5 internal error (a bug: any
-other exception, reported on one line).  JSON output is deterministic
-(sorted keys, no timing); the text format adds a human-readable summary and
-elapsed time.
+Exit codes: 0 success, 2 invalid input or a request over a work budget, 3
+violated mathematical precondition, 4 series comparison mismatch, 5 internal
+error (a bug: any other exception, reported on one line).  JSON output is
+deterministic (sorted keys, no timing); the text format adds a
+human-readable summary and elapsed time.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from importlib import resources
 
 from . import __version__
@@ -155,7 +156,9 @@ def _periods_text(mode, report):
     return lines
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fanokit",
         description="Exact Fano polygon, scaffolding and period computations.",
@@ -203,38 +206,32 @@ def build_parser():
         action="store_true",
         help="keep unassigned parameters symbolic",
     )
-    classical.add_argument(
-        "--assign",
-        action="append",
-        metavar="NAME=VALUE",
-        help="assign a rational value to a parameter (repeatable)",
-    )
 
     quantum = psub.add_parser("quantum", help="factorial-sum quantum period")
     add_io(quantum, order=True)
 
     compare = psub.add_parser("compare", help="regularized quantum vs classical period")
     add_io(compare, order=True)
-    compare.add_argument(
-        "--assign",
-        action="append",
-        metavar="NAME=VALUE",
-        help="assign a rational value to a parameter (repeatable)",
-    )
+    for p in (classical, compare):
+        p.add_argument(
+            "--assign",
+            action="append",
+            metavar="NAME=VALUE",
+            help="assign a rational value to a parameter (repeatable)",
+        )
     return parser
 
 
 def _dispatch(args):
     """Return (report dict, text lines, exit code)."""
     data, provenance = _load_input(args)
+    code = 0
     if args.command == "polygon":
         report = run_polygon(data)
         lines = _polygon_text(report)
-        code = 0
     elif args.command == "scaffold":
         report = run_scaffold(data, check_hull=args.check_hull)
         lines = _scaffold_text(report)
-        code = 0
     else:
         if args.mode == "classical":
             report = run_classical(
@@ -243,10 +240,8 @@ def _dispatch(args):
                 symbolic=args.symbolic,
                 assignments=_parse_assignments(args.assign),
             )
-            code = 0
         elif args.mode == "quantum":
             report = run_quantum(data, args.order)
-            code = 0
         else:
             report = run_compare(
                 data, args.order, assignments=_parse_assignments(args.assign)

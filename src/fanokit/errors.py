@@ -1,8 +1,9 @@
 """Exception hierarchy, and the type checks on parsed input JSON.
 
-InputError covers malformed user input (bad JSON, invalid polygons) and maps
-to CLI exit code 2.  MathError covers violated mathematical preconditions
-(non-simplicial fans, unbounded regions, torsion) and maps to exit code 3.
+InputError covers malformed user input (bad JSON, invalid polygons) and
+requests over a work budget; it maps to CLI exit code 2.  MathError covers
+violated mathematical preconditions (non-simplicial fans, unbounded regions,
+torsion) and maps to exit code 3.
 The json_* readers raise SchemaError where parsed JSON has the wrong type;
 an integer field takes only a JSON integer (no float, string or boolean).
 """
@@ -30,6 +31,10 @@ class NotConvex(InputError):
 
 class SchemaError(InputError):
     pass
+
+
+class WorkBudgetExceeded(InputError):
+    """A request whose estimated work is over the package's stated limit."""
 
 
 class MathError(FanokitError):

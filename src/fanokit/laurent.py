@@ -50,10 +50,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm
-from operator import mul
 
 from .errors import SchemaError, json_ints, json_list
-from .linalg import is_unimodular, mat_vec
+from .linalg import dot, is_unimodular, mat_vec
 from .polygon import classify_lattice_point, convex_hull, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
@@ -105,10 +104,6 @@ class LaurentPolynomial(SparsePoly):
     __repr__ = __str__
 
 
-def _dot(l, e):
-    return sum(map(mul, l, e))
-
-
 def _support_bounds(f):
     """Pairs (l, max of l over the support of f) for the pruning functionals.
 
@@ -121,7 +116,7 @@ def _support_bounds(f):
     if f.dim == 2:
         hull = convex_hull(f.terms)
         ls += [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b]
-    return [(l, max(_dot(l, e) for e in f.terms)) for l in ls]
+    return [(l, max(dot(l, e) for e in f.terms)) for l in ls]
 
 
 def _pack(e, base):
@@ -215,6 +210,7 @@ def classical_period(f, order):
     coefficients.  A zero constant term is Fraction(0).
     """
     flat = list(_flat_terms(f))
+    dim = f.dim  # the margins read the x-part of a flat exponent only
     scale = lcm(*(q.denominator for _, q in flat))
     bounds = _support_bounds(f)
     coeffs = [Fraction(1)]
@@ -226,12 +222,12 @@ def classical_period(f, order):
     # [-(h_l - min l), order*h_l], inside (-half, half): stored plus `half`,
     # every field stays in [0, 2*half), so no field borrows from the next,
     # and its top bit is set exactly when the margin is >= 0.
-    spans = [h - min(_dot(l, e) for e in f.terms) for l, h in bounds]
+    spans = [h - min(dot(l, e) for e in f.terms) for l, h in bounds]
     half = 1 << max([order * h for _, h in bounds] + spans, default=0).bit_length()
     width = half.bit_length()
     mask = _fields([half] * len(bounds), width)
     g = [
-        (_pack(e, base), int(q * scale), _fields([_dot(l, e) - h for l, h in bounds], width))
+        (_pack(e, base), int(q * scale), _fields([dot(l, e[:dim]) - h for l, h in bounds], width))
         for e, q in flat
     ]
     view, pair = (lambda power: power), (lambda a, b, d: Fraction(_paired_constant(a, b), d))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def vec_sub(u, v):
@@ -27,7 +28,7 @@ def vec_sub(u, v):
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def gcd_vec(v):
@@ -67,12 +68,19 @@ def mat_freeze(rows):
 
 
 def det(M):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix: closed forms up to 3 x 3
+    (the minors of ray candidates), Bareiss elimination above."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
+    if n <= 1:
+        return M[0][0] if n else 1
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in M]
     sign = 1
     prev = 1
@@ -276,24 +284,29 @@ def kernel_vector(rows):
     return primitive(v) if any(v) else None
 
 
-def solve_integer(M, b):
-    """One integer solution of M x = b, or None when none exists."""
+def integer_solver(M):
+    """b -> one integer solution of M x = b or None, from one Smith form of M."""
     M = mat_freeze(M)
     m = len(M)
     n = len(M[0]) if m else 0
     S, U, V = snf(M)
-    c = mat_vec(U, tuple(b))
-    y = [0] * n
-    for i in range(m):
-        d = S[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(V, tuple(y))
+    k = min(m, n)
+    diagonal = [S[i][i] for i in range(k)]
+
+    def solve(b):
+        c = mat_vec(U, tuple(b))
+        # row i reads d_i y_i = c_i, and the rows past the diagonal 0 = c_i
+        if any(ci % d if d else ci for ci, d in zip(c, diagonal)) or any(c[k:]):
+            return None
+        y = tuple(ci // d if d else 0 for ci, d in zip(c, diagonal))
+        return mat_vec(V, y + (0,) * (n - k))
+
+    return solve
+
+
+def solve_integer(M, b):
+    """One integer solution of M x = b, or None when none exists."""
+    return integer_solver(M)(b)
 
 
 def inverse_unimodular(M):

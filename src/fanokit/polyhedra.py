@@ -5,7 +5,8 @@ integer normals and rational bounds.  Everything works in any ambient
 dimension.  Every extreme ray of a pointed cone (all bounds zero) spans the
 kernel of dim - 1 of its normals, which linalg.kernel_vector reads off their
 signed maximal minors; vertices are the rays of the homogenized cone, and
-lattice points come from Fourier-Motzkin elimination (integer_points).
+lattice points come from Fourier-Motzkin elimination, as runs along the last
+coordinate (integer_point_runs).
 
 Everything is pure and deterministic; ray and point lists come back sorted.
 """
@@ -115,24 +116,25 @@ def vertices(hs):
     return sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in cone.rays)
 
 
-def integer_points(hs):
-    """Lattice points of a bounded region, in lexicographic order.
+def integer_point_runs(hs):
+    """Lattice points of a bounded region as runs, in lexicographic order.
 
-    Fourier-Motzkin elimination of the last coordinates gives the projection
-    onto each prefix of coordinates; the points are walked coordinate by
-    coordinate between the exact integer bounds of those projections, so no
-    point is tested and dropped.  Raises Unbounded when a projection leaves a
-    coordinate without a lower or an upper bound, which happens exactly when
-    the recession cone is nontrivial.
+    A run ``(prefix, lo, hi)`` stands for the points ``prefix + (x,)`` with
+    ``lo <= x <= hi``.  Fourier-Motzkin elimination of the last coordinates
+    gives the projection onto each prefix of coordinates; the prefixes are
+    walked coordinate by coordinate between the exact integer bounds of those
+    projections, so no point is tested and dropped.  Raises Unbounded when a
+    projection leaves a coordinate without a lower or an upper bound, which
+    happens exactly when the recession cone is nontrivial.
     """
     rows = list(zip(hs.normals, hs.bounds))
-    levels = []  # levels[k]: rows with n_k > 0 and n_k < 0, in coordinates <= k
+    levels = []  # levels[k]: (n[:k], b, n_k) of the rows with n_k > 0 and n_k < 0
     for k in reversed(range(hs.dim)):
         pos = [r for r in rows if r[0][k] > 0]
         neg = [r for r in rows if r[0][k] < 0]
         if not pos or not neg:
             raise Unbounded("region has a nontrivial recession cone")
-        levels.insert(0, (pos, neg))
+        levels.insert(0, tuple([(n[:k], b, n[k]) for n, b in rs] for rs in (pos, neg)))
         rows = [r for r in rows if r[0][k] == 0] + [
             (tuple(-n[k] * a + p[k] * c for a, c in zip(p, n)), -n[k] * pb + p[k] * nb)
             for p, pb in pos
@@ -143,12 +145,19 @@ def integer_points(hs):
 
     def walk(prefix):
         k = len(prefix)
-        if k == hs.dim:
-            return [prefix]
         pos, neg = levels[k]
         # n_k x_k >= b - <n, prefix>, divided by n_k and rounded inwards
-        lo = max(-((dot(n[:k], prefix) - b) // n[k]) for n, b in pos)
-        hi = min((b - dot(n[:k], prefix)) // n[k] for n, b in neg)
-        return [p for x in range(lo, hi + 1) for p in walk(prefix + (x,))]
+        lo = max(-((dot(h, prefix) - b) // c) for h, b, c in pos)
+        hi = min((b - dot(h, prefix)) // c for h, b, c in neg)
+        if k < hs.dim - 1:
+            for x in range(lo, hi + 1):
+                yield from walk(prefix + (x,))
+        elif lo <= hi:
+            yield prefix, lo, hi
 
-    return walk(())
+    return list(walk(()))
+
+
+def integer_points(hs):
+    """Lattice points of a bounded region, in lexicographic order: the runs, expanded."""
+    return [p + (x,) for p, lo, hi in integer_point_runs(hs) for x in range(lo, hi + 1)]

@@ -4,19 +4,28 @@ Wall curves come from the rank-one relation across each codimension-one cone
 of the fan; their classes span the Mori cone, whose dual is the nef cone.
 The quantum period of a hypersurface is the factorial sum over integral
 curve classes in the dual Mori cone, truncated by the anticanonical degree.
+The sum walks the lattice points in runs along the last coordinate, where
+every class pairing is linear: each factorial is computed at a run's start
+and stepped by the ratio (a + 1)...(a + s); the integer numerators are added
+per degree and denominator, and one Fraction per degree is built at the end.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import ceil, factorial, floor, lcm, prod
 
-from .errors import NonSimplicial, Unbounded
-from .linalg import dot, kernel_vector, primitive, solve_integer, transpose, vec_sub
-from .polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_points
+from .errors import NonSimplicial, Unbounded, WorkBudgetExceeded
+from .linalg import dot, integer_solver, kernel_vector, primitive, transpose, vec_sub
+from .polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_point_runs
 from .series import PowerSeries, regularize
+
+# Most lattice points quantum_period may sum over, by the integer box around the
+# truncated curve cone: 652,851 at order 100 on the paper's input, so it runs.
+MAX_BOX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,7 @@ def walls(cox):
     curve class solves W^T l = relation.
     """
     dim = len(cox.rays[0])
+    curve_class = integer_solver(transpose(cox.weights))
     faces = {}
     for ci, cone in enumerate(cox.max_cones):
         for face in combinations(sorted(cone), dim - 1):
@@ -59,22 +69,27 @@ def walls(cox):
         relation = [0] * cox.num_vars
         for pos, i in enumerate(involved):
             relation[i] = lam[pos]
-        curve = solve_integer(transpose(cox.weights), relation)
+        curve = curve_class(relation)
         if curve is None:
             raise NonSimplicial(f"wall {face} relation is not a curve class")
         out.append(WallCurve(face, tuple(relation), tuple(curve)))
     return tuple(out)
 
 
-def mori_and_nef(cox):
-    """Wall curves, extreme Mori rays, and nef cone generators."""
-    ws = walls(cox)
+def _nef_rays(cox, ws):
+    """Generators of the nef cone, the dual of the cone the wall curves span."""
     classes = sorted({primitive(w.curve_class) for w in ws})
     nef = dual_cone(halfspaces(cox.class_rank, classes))
     if nef.lineality or not nef.rays:
         raise Unbounded("nef cone is not full-dimensional")
-    mori = dual_cone(halfspaces(cox.class_rank, nef.rays))
-    return ws, mori.rays, nef.rays
+    return nef.rays
+
+
+def mori_and_nef(cox):
+    """Wall curves, extreme Mori rays, and nef cone generators."""
+    ws = walls(cox)
+    nef = _nef_rays(cox, ws)
+    return ws, dual_cone(halfspaces(cox.class_rank, nef)).rays, nef
 
 
 @dataclass(frozen=True)
@@ -109,34 +124,60 @@ def lambda_cone(cox, nef_rays, degree):
     return CurveClassCone(hs, degree, cone.rays)
 
 
+def _box_points(rays, degree, order):
+    """Lattice points in the integer box around 0 and each r*order/deg(r), whose
+    convex hull is the truncated curve cone: a bound on the points summed over."""
+    ends = [(0,) * len(degree)] + [[Fraction(c * order, dot(degree, r)) for c in r] for r in rays]
+    return prod(floor(max(col)) - ceil(min(col)) + 1 for col in zip(*ends))
+
+
+def _step(f, a, s):
+    """f * (a + s)! / a!, exact when a! divides f: the ratio (a + 1)...(a + s) or its inverse."""
+    return f * prod(range(a + 1, a + s + 1)) if s >= 0 else f // prod(range(a + s + 1, a + 1))
+
+
 def quantum_period(cox, hypersurface_class, order):
     """Factorial sum over the curve cone, truncated at the given degree.
 
     Returns the period and its regularization (coefficients scaled by d!).
+    Raises WorkBudgetExceeded when _box_points is over MAX_BOX_POINTS.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    _, _, nef = mori_and_nef(cox)
+    nef = _nef_rays(cox, walls(cox))
     x_class = tuple(int(c) for c in hypersurface_class)
     degree = vec_sub(cox.anticanonical, x_class)
     lam = lambda_cone(cox, nef, degree)
     for ray in lam.rays:
         if dot(x_class, ray) < 0:
             raise Unbounded(f"hypersurface degree is negative on ray {ray}")
+    if (box := _box_points(lam.rays, degree, order)) > MAX_BOX_POINTS:
+        raise WorkBudgetExceeded(f"the quantum period to order {order} would sum over up "
+                                 f"to {box} curve classes, over the limit of {MAX_BOX_POINTS}")
     trunc = HalfspaceSystem(
         cox.class_rank,
         lam.system.normals + (tuple(-c for c in degree),),
         lam.system.bounds + (-order,),
     )
-    coeffs = [Fraction(0)] * (order + 1)
-    for l in integer_points(trunc):
-        d = dot(degree, l)
-        num = factorial(dot(x_class, l))
-        den = 1
-        for w in cox.variable_classes:
-            a = dot(w, l)
-            assert a >= 0, "variable degree negative inside the curve cone"
-            den *= factorial(a)
-        coeffs[d] += Fraction(num, den)
+    # Along a run each pairing changes by its form's last entry per step.
+    ws = cox.variable_classes
+    moving = [(i, w[-1]) for i, w in enumerate(ws) if w[-1]]
+    sums = [defaultdict(int) for _ in range(order + 1)]  # denominator -> numerators
+    for prefix, lo, hi in integer_point_runs(trunc):
+        start = prefix + (lo,)
+        d, a, bs = dot(degree, start), dot(x_class, start), [dot(w, start) for w in ws]
+        if any(b < 0 or b + (hi - lo) * w[-1] < 0 for b, w in zip(bs, ws)):
+            raise AssertionError("variable degree negative inside the curve cone")
+        num, den = factorial(a), prod(map(factorial, bs))
+        for _ in range(lo, hi):
+            sums[d][den] += num
+            d, num, a = d + degree[-1], _step(num, a, x_class[-1]), a + x_class[-1]
+            for i, s in moving:
+                den, bs[i] = _step(den, bs[i], s), bs[i] + s
+        sums[d][den] += num
+    coeffs = []
+    for by_den in sums:
+        m = lcm(*by_den)
+        coeffs.append(Fraction(sum(num * (m // den) for den, num in by_den.items()), m))
     G = PowerSeries(order, coeffs)
     return G, regularize(G)

@@ -1,10 +1,11 @@
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from fanokit.cli import main
+from fanokit.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -543,3 +544,40 @@ def test_assign_parse_error(capsys):
     )
     assert code == 2
     assert "name=value" in err
+
+
+ASSIGN_ALL = ["--assign", "a1=1", "--assign", "a2=1", "--assign", "b1=0",
+              "--assign", "b2=0", "--assign", "c1=0", "--assign", "c2=0"]
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    """The parser is built once per process; --assign lists, subcommand
+    options and defaults do not carry from one main call into the next."""
+    argvs = [
+        ["periods", "classical", "--fixture", "paper-f", "--order", "4", *ASSIGN_ALL],
+        ["periods", "classical", "--fixture", "paper-f", "--order", "2", "--assign", "a1=1"],
+        ["periods", "compare", "--fixture", "paper", "--order", "4", "--assign", "a1=2"],
+        ["periods", "compare", "--fixture", "paper", "--order", "4"],
+        ["scaffold", "--fixture", "paper-scaffolding", "--check-hull"],
+        ["scaffold", "--fixture", "paper-scaffolding"],
+        ["periods", "classical", "--fixture", "paper-f", "--order", "3", "--symbolic"],
+        ["polygon", "--fixture", "paper-P"],
+    ]
+    assert build_parser() is build_parser()
+    consecutive = [run_cli(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert consecutive == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 4, 0, 0, 0, 0, 0]
+
+
+def test_quantum_work_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "periods", "quantum", "--fixture", "paper", "--order", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1

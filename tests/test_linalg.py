@@ -2,11 +2,15 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.linalg import (
     det,
+    dot,
     hnf,
     identity,
+    integer_solver,
     invariant_factors,
     inverse_unimodular,
     kernel_basis,
@@ -157,6 +161,80 @@ def test_kernel_and_solve():
     assert l == (-4, 1, 1)
     assert mat_vec(A, l) == lam
     assert solve_integer(((2, 0), (0, 2)), (1, 0)) is None
+
+
+def test_integer_solver_factors_once(monkeypatch):
+    """One SNF serves every right-hand side, with solve_integer's answers."""
+    import fanokit.linalg as linalg
+
+    calls = []
+    monkeypatch.setattr(linalg, "snf", lambda M: calls.append(M) or snf(M))
+    A = transpose(WEIGHTS)
+    solve = integer_solver(A)
+    rng = random.Random(31)
+    for _ in range(20):
+        l = tuple(rng.randint(-5, 5) for _ in range(3))
+        b = mat_vec(A, l)
+        assert mat_vec(A, solve(b)) == b
+        assert solve(b[:-1] + (b[-1] + 1,)) is None
+    assert len(calls) == 1
+    assert integer_solver(((2, 0), (0, 2)))((1, 0)) is None
+
+
+def test_dot_checks_lengths():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot((), ()) == 0
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+
+
+def bareiss_det(M):
+    """Determinant by Bareiss elimination at every size: the reference for det."""
+    n = len(M)
+    if n == 0:
+        return 1
+    a = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-9, 9) | st.sampled_from([0, 1, -1, 10**12])
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_matches_bareiss(M):
+    assert det(M) == bareiss_det(M)
+    # a repeated row makes it singular, a row swap flips the sign
+    if len(M) > 1:
+        assert det((M[0],) + M[1:-1] + (M[0],)) == 0
+        assert det((M[-1],) + M[1:-1] + (M[0],)) == -det(M)
+
+
+def test_det_rejects_a_non_square_matrix():
+    assert det(()) == 1
+    for M in (((1, 2),), ((1, 2), (3,)), ((1, 2, 3), (4, 5, 6), (7, 8))):
+        with pytest.raises(ValueError):
+            det(M)
 
 
 def test_kernel_vector_matches_kernel_basis():

@@ -11,6 +11,7 @@ from fanokit.polyhedra import (
     ConeV,
     dual_cone,
     halfspaces,
+    integer_point_runs,
     integer_points,
     vertices,
 )
@@ -142,6 +143,7 @@ def test_integer_points_simplex():
     hs = halfspaces(2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -2])
     pts = integer_points(hs)
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert integer_point_runs(hs) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
 
 
 F = Fraction

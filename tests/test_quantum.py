@@ -1,18 +1,29 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fanokit.linalg
 from fanokit.cox import (
     CoxPresentation,
     change_class_basis,
     cox_presentation,
     hypersurface_from_scaffolding,
 )
-from fanokit.errors import NonSimplicial, Unbounded
+from fanokit.errors import NonSimplicial, Unbounded, WorkBudgetExceeded
 from fanokit.laurent import LaurentPolynomial, classical_period
-from fanokit.linalg import dot
+from fanokit.linalg import dot, mat_mul, mat_vec, vec_sub
 from fanokit.polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_points
-from fanokit.quantum import lambda_cone, mori_and_nef, quantum_period, walls
+from fanokit.quantum import (
+    MAX_BOX_POINTS,
+    _box_points,
+    lambda_cone,
+    mori_and_nef,
+    quantum_period,
+    walls,
+)
 from fanokit.scaffolding import (
     Scaffolding,
     ShapeVariety,
@@ -21,7 +32,7 @@ from fanokit.scaffolding import (
     normal_fan,
     variable_names,
 )
-from fanokit.series import first_mismatch
+from fanokit.series import PowerSeries, first_mismatch, regularize
 
 FIXTURE_W = ((0, 0, 1, 1, 1, 1), (0, 1, 3, 1, 0, 6), (1, 0, 1, 3, 6, 0))
 
@@ -190,3 +201,124 @@ def test_quantum_period_p2_matches_mirror():
         {(1, 0): Fraction(1), (0, 1): Fraction(1), (-1, -1): Fraction(1)},
     )
     assert first_mismatch(reg, classical_period(f, 9), 9) is None
+
+
+def reference_quantum_period(cox, hypersurface_class, order):
+    """The factorial sum point by point: factorial and dot at each lattice
+    point and one Fraction added per point.  The reference for quantum_period."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    _, _, nef = mori_and_nef(cox)
+    x_class = tuple(int(c) for c in hypersurface_class)
+    degree = vec_sub(cox.anticanonical, x_class)
+    lam = lambda_cone(cox, nef, degree)
+    for ray in lam.rays:
+        if dot(x_class, ray) < 0:
+            raise Unbounded(f"hypersurface degree is negative on ray {ray}")
+    trunc = HalfspaceSystem(
+        cox.class_rank,
+        lam.system.normals + (tuple(-c for c in degree),),
+        lam.system.bounds + (-order,),
+    )
+    coeffs = [Fraction(0)] * (order + 1)
+    for l in integer_points(trunc):
+        d = dot(degree, l)
+        num = factorial(dot(x_class, l))
+        den = 1
+        for w in cox.variable_classes:
+            a = dot(w, l)
+            assert a >= 0, "variable degree negative inside the curve cone"
+            den *= factorial(a)
+        coeffs[d] += Fraction(num, den)
+    G = PowerSeries(order, coeffs)
+    return G, regularize(G)
+
+
+def assert_matches_reference(cox, x_class, orders):
+    """quantum_period at each order against the prefix of one reference sum
+    at the top order: a coefficient does not depend on the truncation."""
+    top = max(orders)
+    G_ref, reg_ref = reference_quantum_period(cox, x_class, top)
+    for order in orders:
+        G, reg = quantum_period(cox, x_class, order)
+        assert (G.order, reg.order) == (order, order)
+        assert list(G.coeffs) == list(G_ref.coeffs[: order + 1])
+        assert list(reg.coeffs) == list(reg_ref.coeffs[: order + 1])
+        assert all(type(c) is Fraction for c in G.coeffs)
+
+
+def test_quantum_period_matches_the_reference_on_the_paper():
+    _, cox = hex_cox()
+    assert_matches_reference(cox, (2, 6, 6), range(41))
+
+
+def test_quantum_period_matches_the_reference_on_p2():
+    assert_matches_reference(p2_cox(), (0,), range(31))
+    assert_matches_reference(p2_cox(), (1,), range(16))  # a cubic curve in P^2
+
+
+@st.composite
+def unimodular3(draw):
+    """A product of elementary row operations: add k times row j to row i."""
+    U = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                           st.integers(-2, 2)), max_size=5)):
+        if i != j:
+            E = tuple(tuple(int(r == c) + k * (r == i and c == j) for c in range(3))
+                      for r in range(3))
+            U = mat_mul(E, U)
+    if draw(st.booleans()):
+        U = (U[1], U[0], U[2])
+    return U
+
+
+@settings(max_examples=25, deadline=None)
+@given(unimodular3(), st.integers(0, 24))
+# pairings that fall along a run: variables with last weight -1 and -4, and
+# the hypersurface's, with last entry -2
+@example(((1, 0, 0), (0, 1, 0), (-1, 0, 1)), 24)
+@example(((1, 0, 0), (0, 1, 0), (-2, -1, 1)), 24)
+def test_quantum_period_matches_the_reference_in_any_class_basis(U, order):
+    """Class bases U*W move every run of the walk and the steps along it."""
+    s, cox0 = hex_cox(fixture_basis=False)
+    _, _, eq = hypersurface_from_scaffolding(s, cox0)
+    cox = change_class_basis(cox0, mat_mul(U, cox0.weights))
+    assert_matches_reference(cox, mat_vec(U, eq.class_vector(cox0.weights)), [order])
+
+
+def test_walls_factor_the_weights_once(monkeypatch):
+    _, cox = hex_cox()
+    calls = []
+    snf = fanokit.linalg.snf
+    monkeypatch.setattr(fanokit.linalg, "snf", lambda M: calls.append(M) or snf(M))
+    assert len(walls(cox)) == 12
+    assert len(calls) == 1
+
+
+def test_quantum_period_work_budget():
+    _, cox = hex_cox()
+    _, _, nef = mori_and_nef(cox)
+    degree = (2, 5, 5)
+    lam = lambda_cone(cox, nef, degree)
+    assert _box_points(lam.rays, degree, 20) == 6171
+    # order 100 stays inside the budget with room for other class bases
+    assert 10 * _box_points(lam.rays, degree, 100) < MAX_BOX_POINTS
+    # the box holds every point the sum visits
+    for order in (0, 7, 20):
+        trunc = HalfspaceSystem(
+            3, lam.system.normals + ((-2, -5, -5),), lam.system.bounds + (-order,)
+        )
+        assert len(integer_points(trunc)) <= _box_points(lam.rays, degree, order)
+    with pytest.raises(WorkBudgetExceeded, match="order 100000"):
+        quantum_period(cox, (2, 6, 6), 100000)
+
+
+def test_negative_variable_degree_on_a_run_raises(monkeypatch):
+    """The guard on both ends of a run is a raise, not an assert statement,
+    so it holds under python -O as well."""
+    import fanokit.quantum
+
+    _, cox = hex_cox()
+    monkeypatch.setattr(fanokit.quantum, "integer_point_runs", lambda hs: [((0, 0), -1, 0)])
+    with pytest.raises(AssertionError, match="variable degree negative"):
+        quantum_period(cox, (2, 6, 6), 4)
