@@ -10,13 +10,17 @@ dehomogenizes them on each maximal cone and identifies the ambient finite
 quotient through the Smith normal form of the ray submatrix.
 section_monomials lists the monomials of a class as the lattice points of a
 polytope in the kernel of the weight matrix, through polyhedra.integer_points.
+The GIT checks work in the size of the fan, not over 2^n zero-patterns:
+unstable_locus_equal compares minimal generators of squarefree (so radical)
+monomial ideals, and fiber_avoidance walks the faces of the maximal cones,
+which are the semistable zero-patterns (Cox, arXiv:alg-geom/9210008).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations
 from math import gcd, prod
 
 from .errors import CorankError, NonSimplicial, TorsionClassGroup
@@ -56,12 +60,10 @@ class CoxPresentation:
 
     def irrelevant_generators(self):
         """Per maximal cone, the squarefree monomial on the complement rays."""
-        out = []
-        for cone in self.max_cones:
-            out.append(
-                tuple(self.names[i] for i in range(self.num_vars) if i not in cone)
-            )
-        return tuple(out)
+        return tuple(
+            tuple(nm for i, nm in enumerate(self.names) if i not in cone)
+            for cone in self.max_cones
+        )
 
 
 def cox_presentation(rays, max_cones, names=None):
@@ -107,26 +109,24 @@ def change_class_basis(cox, table):
     return replace(cox, weights=table)
 
 
+def minimal_generators(gens):
+    """The inclusion-minimal sets among ``gens``, as frozensets."""
+    gens = set(map(frozenset, gens))
+    return {g for g in gens if not any(h < g for h in gens)}
+
+
 def unstable_locus_equal(gens_a, gens_b):
     """Whether two squarefree monomial ideals cut the same coordinate locus.
 
-    Scans all 2^n coordinate zero-patterns S and compares "every generator
-    meets S" between the two generator lists.
+    Squarefree monomial ideals are radical, so they cut the same locus iff
+    they are equal, iff their inclusion-minimal generators agree.  Both
+    lists must mention the same variables before minimizing.
     """
     gens_a = [frozenset(g) for g in gens_a]
     gens_b = [frozenset(g) for g in gens_b]
-    vars_a = frozenset().union(*gens_a) if gens_a else frozenset()
-    vars_b = frozenset().union(*gens_b) if gens_b else frozenset()
-    if vars_a != vars_b:
+    if frozenset().union(*gens_a) != frozenset().union(*gens_b):
         raise ValueError("generator lists mention different variables")
-    variables = sorted(vars_a)
-    for bits in product((0, 1), repeat=len(variables)):
-        S = {v for v, b in zip(variables, bits) if b}
-        in_a = all(g & S for g in gens_a)
-        in_b = all(g & S for g in gens_b)
-        if in_a != in_b:
-            return False
-    return True
+    return minimal_generators(gens_a) == minimal_generators(gens_b)
 
 
 class CoxPolynomial(SparsePoly):
@@ -351,29 +351,23 @@ class FiberCheck:
 
 
 def fiber_avoidance(cox, family, forced_zero):
-    """Scan zero-patterns containing ``forced_zero`` against the family.
-
-    For each semistable pattern S the monomials supported away from S must
-    number exactly one; a pattern violating that is returned as a witness.
-    """
-    index = {nm: i for i, nm in enumerate(cox.names)}
+    """Each semistable zero-pattern containing ``forced_zero``, that is each
+    face of a maximal cone containing it, must leave exactly one monomial of
+    the family.  The witness is the violating face whose 0/1 indicator
+    vector on the variables is lexicographically least."""
     unknown = set(forced_zero) - set(cox.names)
     if unknown:
         raise ValueError(f"unknown variables {sorted(unknown)}")
-    forced = sorted(index[nm] for nm in forced_zero)
-    free = [i for i in range(cox.num_vars) if i not in forced]
-    gens = [
-        frozenset(i for i in range(cox.num_vars) if i not in cone)
-        for cone in cox.max_cones
-    ]
+    forced = frozenset(map(cox.names.index, forced_zero))
     supports = [
         frozenset(i for i, k in enumerate(e) if k > 0) for e in family.terms
     ]
-    for bits in product((0, 1), repeat=len(free)):
-        S = frozenset(forced) | {f for f, b in zip(free, bits) if b}
-        if all(g & S for g in gens):
-            continue  # unstable pattern: not a point of the quotient
-        surviving = sum(1 for sup in supports if not (sup & S))
-        if surviving != 1:
+    faces = set()
+    for cone in cox.max_cones:
+        if forced <= set(cone):
+            for k in range(len(cone) + 1):
+                faces.update(forced.union(t) for t in combinations(cone, k))
+    for S in sorted(faces, key=lambda S: [i in S for i in range(cox.num_vars)]):
+        if sum(1 for sup in supports if not sup & S) != 1:
             return FiberCheck(False, tuple(sorted(cox.names[i] for i in S)))
     return FiberCheck(True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .cox import (
     CoxPolynomial,
@@ -24,6 +23,7 @@ from .cox import (
     deformation_family,
     fiber_avoidance,
     hypersurface_from_scaffolding,
+    minimal_generators,
     unstable_locus_equal,
 )
 from .errors import NonSimplicial, SchemaError, json_ints, json_list
@@ -31,7 +31,6 @@ from .laurent import classical_period, laurent_from_json
 from .linalg import vec_sub
 from .polygon import (
     barycenter,
-    is_k_polystable,
     lattice_symmetries,
     normalized_volume,
     polar,
@@ -68,8 +67,10 @@ def run_polygon(data):
     P = validate_fano(
         [json_ints(v, "polygon vertex", 2) for v in json_list(data["vertices"], "vertices")]
     )
+    records = singularity_report(P)
     pol = polar(P)
-    multiset = singularity_multiset(P)
+    bary = barycenter(pol)
+    multiset = singularity_multiset(records)
     return {
         "vertices": [list(v) for v in P.vertices],
         "singularities": [
@@ -84,17 +85,17 @@ def run_polygon(data):
                 "t_cone": r.is_T,
                 "rigid": r.is_rigid,
             }
-            for r in singularity_report(P)
+            for r in records
         ],
         "singularity_multiset": {str(q): n for q, n in multiset.items()},
         "polar": {
             "vertices": [[_num(c) for c in v] for v in pol.vertices],
             "normalized_volume": _num(normalized_volume(pol)),
-            "barycenter": [_num(c) for c in barycenter(pol)],
+            "barycenter": [_num(c) for c in bary],
         },
-        "k_polystable": is_k_polystable(P),
+        "k_polystable": bary == (0, 0),
         "symmetry_order": len(lattice_symmetries(P)),
-        "qg_dimension": qg_dimension(P),
+        "qg_dimension": qg_dimension(records),
     }
 
 
@@ -210,7 +211,11 @@ def run_scaffold(data, check_hull=False):
         ]
         if not factors or any(not f for f in factors):
             raise SchemaError("irrelevant_product needs nonempty factor lists")
-        gens = [frozenset(t) for t in product(*factors)]
+        gens = {frozenset()}
+        for f in factors:
+            gens = minimal_generators({g | {v} for g in gens for v in f})
+        # The all-variables monomial lies in the ideal and keeps the product's variables.
+        gens.add(frozenset().union(*factors))
         try:
             report["irrelevant_product_check"] = unstable_locus_equal(irrelevant, gens)
         except ValueError as e:

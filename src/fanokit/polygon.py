@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, vec_sub
+from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, snf, vec_sub
 from .polyhedra import halfspaces, integer_points
 
 
@@ -144,56 +144,20 @@ class SingularityRecord:
         return self.t_count == 0
 
 
-def _unimodular_to_e2(u):
-    """A determinant +-1 matrix g with g u = (0, 1), for primitive u."""
-    ux, uy = u
-    g0 = primitive((-uy, ux)) if (ux, uy) != (0, 1) else (1, 0)
-    # second row: any integral solution of c*ux + d*uy = 1
-    if ux == 0:
-        c, d = 0, 1 if uy == 1 else -1
-        if uy not in (1, -1):
-            # primitive with ux = 0 forces uy = +-1
-            raise ValueError("vertex is not primitive")
-    else:
-        # extended gcd on (ux, uy)
-        old_r, r = ux, uy
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        # old_s*ux + old_t*uy = old_r = +-gcd = +-1
-        c, d = old_s * old_r, old_t * old_r
-    g = (g0, (c, d))
-    if mat_vec(g, u) != (0, 1):
-        g = ((-g0[0], -g0[1]), (c, d))
-    assert mat_vec(g, u) == (0, 1)
-    return g
-
-
 def edge_singularity(P, i):
     """Singularity data of the cone over edge i of a Fano polygon.
 
-    r is the determinant of the primitive edge rays; a is read off after a
-    unimodular change of basis sending the first ray to (0,1), giving the
-    cone over the segment from (0,1) to (r, -a mod r).  l is the lattice
-    length of the edge, h its lattice height over the origin, and the edge
-    carries m = floor(l/h) primitive T-cones with residue l mod h.
+    The Smith form S = U (u v) V of the primitive edge rays gives the index
+    r = S[1][1] and the action 1/r(V[0][1], V[1][1]) on the chart, as in
+    cox.chart_analysis; scaling by the inverse of V[0][1] gives 1/r(1,a).
+    l is the lattice length of the edge, h its lattice height over the
+    origin, and the edge carries m = floor(l/h) primitive T-cones with
+    residue l mod h.
     """
     u, v = P.edges()[i]
-    r = _cross(u, v)
-    assert r > 0, "counterclockwise vertices around an interior origin"
-    if r == 1:
-        quot = CyclicQuotient2D.normalised(1, 0)
-    else:
-        g = _unimodular_to_e2(u)
-        w = mat_vec(g, v)
-        if w[0] < 0:
-            w = (-w[0], w[1])
-        assert w[0] == r
-        quot = CyclicQuotient2D.normalised(r, -w[1])
+    S, _, V = snf(((u[0], v[0]), (u[1], v[1])))
+    r = S[1][1]
+    quot = CyclicQuotient2D.normalised(r, V[1][1] * pow(V[0][1], -1, r) % r)
     d = vec_sub(v, u)
     length = gcd(abs(d[0]), abs(d[1]))
     n = primitive((d[1], -d[0]))
@@ -207,18 +171,20 @@ def singularity_report(P):
     return tuple(edge_singularity(P, i) for i in range(len(P.vertices)))
 
 
-def singularity_multiset(P):
-    """Multiset {quotient: count} of the nontrivial edge singularities."""
+def singularity_multiset(records):
+    """Multiset {quotient: count} of the nontrivial edge singularities,
+    from the records of singularity_report."""
     out = {}
-    for rec in singularity_report(P):
+    for rec in records:
         if not rec.is_smooth:
             out[rec.quotient] = out.get(rec.quotient, 0) + 1
     return out
 
 
-def qg_dimension(P):
-    """Sum of the per-edge T-cone counts over the singular edges."""
-    return sum(r.t_count for r in singularity_report(P) if not r.is_smooth)
+def qg_dimension(records):
+    """Sum of the per-edge T-cone counts over the singular edges, from the
+    records of singularity_report."""
+    return sum(r.t_count for r in records if not r.is_smooth)
 
 
 def polar(Q):
@@ -262,11 +228,6 @@ def barycenter(Q):
     return (cx / (3 * area2), cy / (3 * area2))
 
 
-def is_k_polystable(P):
-    """Barycenter criterion: the polar dual is centered at the origin."""
-    return barycenter(polar(P)) == (Fraction(0), Fraction(0))
-
-
 def lattice_symmetries(P):
     """All g in GL2(Z) with g(P) = P, by mapping one vertex-edge flag to all.
 
@@ -299,10 +260,13 @@ def lattice_symmetries(P):
     uniq = sorted(set(found))
     # group sanity: closed under composition and inverse
     for g in uniq:
-        assert tuple(map(tuple, inverse_unimodular(g))) in uniq
+        if tuple(map(tuple, inverse_unimodular(g))) not in uniq:
+            raise AssertionError("symmetries not closed under inverse")
         for h in uniq:
-            assert mat_mul(g, h) in uniq
-    assert identity(2) in uniq
+            if mat_mul(g, h) not in uniq:
+                raise AssertionError("symmetries not closed under composition")
+    if identity(2) not in uniq:
+        raise AssertionError("identity missing from the symmetries")
     return tuple(uniq)
 
 

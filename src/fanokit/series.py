@@ -34,10 +34,6 @@ class PowerSeries(Frozen):
         return cls(order, [])
 
     @classmethod
-    def one(cls, order):
-        return cls(order, [Fraction(1)])
-
-    @classmethod
     def from_polynomial(cls, coeffs, order):
         """Series of an exact polynomial, zero-padded to the given order."""
         if len(coeffs) > order + 1 and any(c != 0 for c in coeffs[order + 1 :]):

@@ -1,6 +1,7 @@
 import json
 import time
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,88 @@ def test_scaffold_fixture_report(capsys):
     assert "hull_equals_target" not in report
     flags = [c["quasi_smooth"] for c in report["charts"]]
     assert flags.count(True) == 4
+
+
+def test_irrelevant_product_with_many_redundant_factors(capsys, tmp_path):
+    """Twenty redundant (y1, y2) factors: the product is minimized factor by
+    factor, never expanded to 72 * 2^20 generators."""
+    data = json.loads(
+        resources.files("fanokit").joinpath("fixtures", "paper-scaffolding.json").read_text()
+    )
+    data["irrelevant_product"] += [["y1", "y2"]] * 20
+    infile = tmp_path / "redundant.json"
+    infile.write_text(json.dumps(data))
+    start = time.perf_counter()
+    report = run_json(capsys, "scaffold", "--in", str(infile))
+    assert time.perf_counter() - start < 1.0
+    assert report["irrelevant_product_check"] is True
+
+
+BIG_FAN_STRUTS = (
+    "1,1|2 1,1|-2 -1,2|1 2,-1|-1 7,-6|7 2,0|4 1,-1|9 -4,4|-6 7,-6|5 -2,2|2 "
+    "4,-1|3 5,-3|8 1,0|6 5,-4|10 6,-4|9 6,-6|11 0,2|-2 0,2|-1 3,-3|10 -3,3|-1"
+)
+
+
+def big_fan_input():
+    """A scaffolding with 22 Cox variables and 40 maximal cones."""
+    names = ["x1", "x2", "y1", "y2"] + [f"w{i}" for i in range(1, 17)]
+    struts = []
+    for name, token in zip(names, BIG_FAN_STRUTS.split()):
+        divisor, chi = token.split("|")
+        struts.append(
+            {"name": name, "divisor": [int(a) for a in divisor.split(",")], "chi": [int(chi)]}
+        )
+    return {"shape": {"projective_dims": [1]}, "n_u_rank": 1, "struts": struts}
+
+
+def test_fiber_check_on_a_22_variable_fan(capsys, tmp_path):
+    """A fiber check on 22 Cox variables walks the faces of 40 cones instead
+    of 2^20 zero-patterns."""
+    infile = tmp_path / "big.json"
+    infile.write_text(json.dumps({**big_fan_input(), "fiber_check": ["x1", "y1"]}))
+    start = time.perf_counter()
+    report = run_json(capsys, "scaffold", "--in", str(infile))
+    assert time.perf_counter() - start < 5.0
+    assert len(report["cox"]["variables"]) == 22
+    assert len(report["fan"]["max_cones"]) == 40
+    assert report["fiber_check"] == {
+        "forced_zero": ["x1", "y1"],
+        "verified": True,
+        "witness": None,
+    }
+
+
+def test_irrelevant_product_of_the_primitive_collections(capsys, tmp_path):
+    """The irrelevant ideal is the intersection of the primes of the
+    primitive collections (the minimal non-faces; Batyrev).  On the
+    22-variable fan these are 172 factors, whose full product would have
+    about 2^171 terms."""
+    infile = tmp_path / "big.json"
+    infile.write_text(json.dumps(big_fan_input()))
+    report = run_json(capsys, "scaffold", "--in", str(infile))
+    names = report["cox"]["variables"]
+    cones = [set(c) for c in report["fan"]["max_cones"]]
+
+    def is_face(S):
+        return any(S <= c for c in cones)
+
+    collections = [
+        S
+        for k in (2, 3, 4)  # a simplicial 3-fan has none larger
+        for S in map(set, combinations(range(len(names)), k))
+        if not is_face(S) and all(is_face(S - {i}) for i in S)
+    ]
+    assert len(collections) == 172
+    factors = [[names[i] for i in sorted(S)] for S in collections]
+    infile.write_text(json.dumps({**big_fan_input(), "irrelevant_product": factors}))
+    start = time.perf_counter()
+    report = run_json(capsys, "scaffold", "--in", str(infile))
+    assert time.perf_counter() - start < 2.0
+    assert report["irrelevant_product_check"] is True
+    factors[0] = factors[0][:1] + factors[1][:1]
+    infile.write_text(json.dumps({**big_fan_input(), "irrelevant_product": factors}))
+    assert run_json(capsys, "scaffold", "--in", str(infile))["irrelevant_product_check"] is False
 
 
 def test_scaffold_check_hull(capsys):

@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
-from itertools import product
+from importlib import resources
+from itertools import combinations, product
 from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanokit.cox import (
     AbelianQuotient,
@@ -12,13 +16,23 @@ from fanokit.cox import (
     change_class_basis,
     cox_presentation,
     deformation_family,
+    FiberCheck,
     fiber_avoidance,
     hypersurface_from_scaffolding,
+    minimal_generators,
     section_monomials,
     unstable_locus_equal,
 )
-from fanokit.errors import CorankError, NonSimplicial, TorsionClassGroup, Unbounded
-from fanokit.linalg import dot
+from fanokit.errors import (
+    CorankError,
+    NonSimplicial,
+    SchemaError,
+    TorsionClassGroup,
+    Unbounded,
+)
+from fanokit.linalg import dot, primitive
+from fanokit.pipeline import run_scaffold
+from fanokit.polygon import convex_hull, validate_fano
 from fanokit.scaffolding import (
     Scaffolding,
     ShapeVariety,
@@ -30,6 +44,57 @@ from fanokit.scaffolding import (
 from fanokit.symbolic import ParamPoly
 
 CANONICAL_W = ((1, 0, 0, 2, 5, -1), (0, 1, 0, -2, -3, 3), (0, 0, 1, 1, 1, 1))
+
+
+def reference_unstable_locus_equal(gens_a, gens_b):
+    """Whether two squarefree monomial ideals cut the same coordinate locus.
+
+    Scans all 2^n coordinate zero-patterns S and compares "every generator
+    meets S" between the two generator lists.
+    """
+    gens_a = [frozenset(g) for g in gens_a]
+    gens_b = [frozenset(g) for g in gens_b]
+    vars_a = frozenset().union(*gens_a) if gens_a else frozenset()
+    vars_b = frozenset().union(*gens_b) if gens_b else frozenset()
+    if vars_a != vars_b:
+        raise ValueError("generator lists mention different variables")
+    variables = sorted(vars_a)
+    for bits in product((0, 1), repeat=len(variables)):
+        S = {v for v, b in zip(variables, bits) if b}
+        in_a = all(g & S for g in gens_a)
+        in_b = all(g & S for g in gens_b)
+        if in_a != in_b:
+            return False
+    return True
+
+
+def reference_fiber_avoidance(cox, family, forced_zero):
+    """Scan zero-patterns containing ``forced_zero`` against the family.
+
+    For each semistable pattern S the monomials supported away from S must
+    number exactly one; a pattern violating that is returned as a witness.
+    """
+    index = {nm: i for i, nm in enumerate(cox.names)}
+    unknown = set(forced_zero) - set(cox.names)
+    if unknown:
+        raise ValueError(f"unknown variables {sorted(unknown)}")
+    forced = sorted(index[nm] for nm in forced_zero)
+    free = [i for i in range(cox.num_vars) if i not in forced]
+    gens = [
+        frozenset(i for i in range(cox.num_vars) if i not in cone)
+        for cone in cox.max_cones
+    ]
+    supports = [
+        frozenset(i for i, k in enumerate(e) if k > 0) for e in family.terms
+    ]
+    for bits in product((0, 1), repeat=len(free)):
+        S = frozenset(forced) | {f for f, b in zip(free, bits) if b}
+        if all(g & S for g in gens):
+            continue  # unstable pattern: not a point of the quotient
+        surviving = sum(1 for sup in supports if not (sup & S))
+        if surviving != 1:
+            return FiberCheck(False, tuple(sorted(cox.names[i] for i in S)))
+    return FiberCheck(True)
 FIXTURE_W = ((0, 0, 1, 1, 1, 1), (0, 1, 3, 1, 0, 6), (1, 0, 1, 3, 6, 0))
 
 
@@ -63,6 +128,10 @@ def square_cox():
     )
     fan = normal_fan(build_qs(s))
     return s, cox_presentation(fan.rays, fan.max_cones, variable_names(s))
+
+
+PAPER_NAMES = ("x1", "x2", "y1", "y2", "z1", "z2")
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 
 
 def p2_cox():
@@ -436,3 +505,130 @@ def test_fiber_avoidance():
     assert not single.verified and single.witness == ("x1",)
     with pytest.raises(ValueError):
         fiber_avoidance(cox, fam, ("nope",))
+
+
+def outcome(check, *args):
+    """A check's result, or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def generator_lists(draw):
+    """Two squarefree generator lists over 1-7 variables; the second is often
+    the first plus redundant multiples, shuffled and with duplicates."""
+    names = "abcdefg"[: draw(st.integers(1, 7))]
+    subsets = st.frozensets(st.sampled_from(names), max_size=len(names))
+    gens_a = draw(st.lists(subsets, max_size=6))
+    if draw(st.booleans()):
+        return gens_a, draw(st.lists(subsets, max_size=6))
+    multiples = draw(st.lists(st.sampled_from(gens_a), max_size=4)) if gens_a else []
+    redundant = [g | draw(subsets) for g in multiples]
+    gens_b = draw(st.permutations(gens_a + redundant + gens_a[:1]))
+    if gens_b and draw(st.booleans()):
+        gens_b = gens_b[1:]
+    return gens_a, gens_b
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=generator_lists())
+def test_unstable_locus_equal_matches_the_scan(pair):
+    gens_a, gens_b = pair
+    assert outcome(unstable_locus_equal, gens_a, gens_b) == outcome(
+        reference_unstable_locus_equal, gens_a, gens_b
+    )
+
+
+def test_minimal_generators():
+    assert minimal_generators([("x", "y"), ("x",), ("y", "z"), ("z", "y")]) == {
+        frozenset("x"),
+        frozenset("yz"),
+    }
+    assert minimal_generators([(), ("x",)]) == {frozenset()}
+    assert minimal_generators([]) == set()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    factors=st.lists(st.lists(st.sampled_from(PAPER_NAMES), max_size=6), max_size=6),
+    unknown=st.booleans(),
+)
+def test_irrelevant_product_matches_the_expanded_scan(factors, unknown):
+    """run_scaffold minimizes the product factor by factor; its verdict or
+    error equals the scan's on the fully expanded product."""
+    if unknown and factors:
+        factors[-1] = factors[-1] + ["w"]
+    data = json.loads(
+        resources.files("fanokit").joinpath("fixtures", "paper-scaffolding.json").read_text()
+    )
+    del data["fiber_check"]
+    data["irrelevant_product"] = factors
+    _, cox = hex_cox()
+    if not factors or not all(factors):
+        expected = "irrelevant_product needs nonempty factor lists"
+    else:
+        expected = outcome(
+            reference_unstable_locus_equal,
+            cox.irrelevant_generators(),
+            [frozenset(t) for t in product(*factors)],
+        )
+    try:
+        got = run_scaffold(data)["irrelevant_product_check"]
+    except SchemaError as e:
+        got = str(e)
+    assert got == expected
+
+
+def forced_sets(names, size=3):
+    return [c for k in range(size + 1) for c in combinations(names, k)]
+
+
+def test_fiber_avoidance_matches_the_scan_on_the_paper_fan():
+    """All 64 forced sets of the paper's six variables, on the family and on
+    a family with a term per section of -K."""
+    s, cox = hex_cox()
+    _, _, eq = hypersurface_from_scaffolding(s, cox)
+    fam = deformation_family(cox, eq)
+    anti = CoxPolynomial(
+        cox.names, {e: Fraction(1) for e in section_monomials(cox, cox.anticanonical)}
+    )
+    for family in (fam, anti):
+        for forced in forced_sets(cox.names, 6):
+            assert fiber_avoidance(cox, family, forced) == reference_fiber_avoidance(
+                cox, family, forced
+            ), forced
+
+
+@st.composite
+def fano_polygons(draw):
+    """The hull of P2's rays and up to nine random primitive vectors."""
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)),
+            min_size=2,
+            max_size=9,
+        )
+    )
+    return validate_fano(convex_hull([primitive(v) for v in pts] + P2_RAYS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=fano_polygons(), data=st.data())
+def test_fiber_avoidance_matches_the_scan_on_face_fans(P, data):
+    """Face fans of random Fano polygons with random supports: verdict and
+    witness equal the scan for every forced set of at most three variables."""
+    n = len(P.vertices)
+    try:
+        cox = cox_presentation(P.vertices, [(i, (i + 1) % n) for i in range(n)])
+    except TorsionClassGroup:
+        assume(False)
+    supports = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=6)
+    )
+    family = CoxPolynomial(cox.names, {e: Fraction(1) for e in supports})
+    for forced in forced_sets(cox.names):
+        assert fiber_avoidance(cox, family, forced) == reference_fiber_avoidance(
+            cox, family, forced
+        ), forced

@@ -24,3 +24,14 @@ def test_package_imports_only_the_standard_library():
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert len(list(SRC.glob("*.py"))) >= 13
     assert outside == []
+
+
+def test_package_has_no_bare_asserts():
+    """Checks in fanokit raise explicitly, so they survive ``python -O``."""
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []

@@ -3,21 +3,22 @@ import random
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from fanokit.linalg import mat_mul, mat_vec, vec_sub
+from fanokit.linalg import mat_mul, mat_vec, primitive, vec_sub
 from fanokit.polygon import (
     CyclicQuotient2D,
+    SingularityRecord,
     _cross,
     barycenter,
+    convex_hull,
     classify_lattice_point,
     edge_singularity,
-    is_k_polystable,
     lattice_points,
     lattice_symmetries,
     normalized_volume,
@@ -31,6 +32,74 @@ from fanokit.polygon import (
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 P2 = [(1, 0), (0, 1), (-1, -1)]
 SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+
+
+def multiset_of(P):
+    return singularity_multiset(singularity_report(P))
+
+
+def is_k_polystable(P):
+    """Barycenter criterion: the polar dual is centered at the origin."""
+    return barycenter(polar(P)) == (0, 0)
+
+
+def _unimodular_to_e2(u):
+    """A determinant +-1 matrix g with g u = (0, 1), for primitive u."""
+    ux, uy = u
+    g0 = primitive((-uy, ux)) if (ux, uy) != (0, 1) else (1, 0)
+    # second row: any integral solution of c*ux + d*uy = 1
+    if ux == 0:
+        c, d = 0, 1 if uy == 1 else -1
+        if uy not in (1, -1):
+            # primitive with ux = 0 forces uy = +-1
+            raise ValueError("vertex is not primitive")
+    else:
+        # extended gcd on (ux, uy)
+        old_r, r = ux, uy
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        # old_s*ux + old_t*uy = old_r = +-gcd = +-1
+        c, d = old_s * old_r, old_t * old_r
+    g = (g0, (c, d))
+    if mat_vec(g, u) != (0, 1):
+        g = ((-g0[0], -g0[1]), (c, d))
+    assert mat_vec(g, u) == (0, 1)
+    return g
+
+
+def reference_edge_singularity(P, i):
+    """Singularity data of the cone over edge i of a Fano polygon.
+
+    r is the determinant of the primitive edge rays; a is read off after a
+    unimodular change of basis sending the first ray to (0,1), giving the
+    cone over the segment from (0,1) to (r, -a mod r).  l is the lattice
+    length of the edge, h its lattice height over the origin, and the edge
+    carries m = floor(l/h) primitive T-cones with residue l mod h.
+    """
+    u, v = P.edges()[i]
+    r = _cross(u, v)
+    assert r > 0, "counterclockwise vertices around an interior origin"
+    if r == 1:
+        quot = CyclicQuotient2D.normalised(1, 0)
+    else:
+        g = _unimodular_to_e2(u)
+        w = mat_vec(g, v)
+        if w[0] < 0:
+            w = (-w[0], w[1])
+        assert w[0] == r
+        quot = CyclicQuotient2D.normalised(r, -w[1])
+    d = vec_sub(v, u)
+    length = gcd(abs(d[0]), abs(d[1]))
+    n = primitive((d[1], -d[0]))
+    h = n[0] * u[0] + n[1] * u[1]
+    if h < 0:
+        h = -h
+    return SingularityRecord(i, quot, length, h, length // h, length % h)
 
 
 def test_validate_normalises():
@@ -58,7 +127,7 @@ def test_edge_singularities_hexagon():
     P = validate_fano(HEX)
     recs = singularity_report(P)
     assert len(recs) == 6
-    multiset = singularity_multiset(P)
+    multiset = singularity_multiset(recs)
     assert multiset == {
         CyclicQuotient2D.normalised(3, 1): 2,
         CyclicQuotient2D.normalised(4, 1): 2,
@@ -93,9 +162,9 @@ def test_determinant_equals_index_and_t_criterion():
 
 
 def test_qg_dimension():
-    assert qg_dimension(validate_fano(HEX)) == 2
-    assert qg_dimension(validate_fano(P2)) == 0
-    assert qg_dimension(validate_fano(SQUARE)) == 8
+    assert qg_dimension(singularity_report(validate_fano(HEX))) == 2
+    assert qg_dimension(singularity_report(validate_fano(P2))) == 0
+    assert qg_dimension(singularity_report(validate_fano(SQUARE))) == 8
 
 
 def test_polar_hexagon():
@@ -165,7 +234,7 @@ def test_singularities_invariant_under_symmetries():
     P = validate_fano(HEX)
     for g in lattice_symmetries(P):
         Pg = validate_fano([mat_vec(g, v) for v in P.vertices])
-        assert singularity_multiset(Pg) == singularity_multiset(P)
+        assert multiset_of(Pg) == multiset_of(P)
 
 
 def _random_fano(rng):
@@ -175,8 +244,6 @@ def _random_fano(rng):
             v = (rng.randint(-4, 4), rng.randint(-4, 4))
             if v == (0, 0):
                 continue
-            from fanokit.linalg import primitive
-
             pts.append(primitive(v))
         if len(set(pts)) < 3:
             continue
@@ -196,8 +263,10 @@ def test_random_polygons_polar_involution_and_invariance():
         assert normalized_volume(Q) == normalized_volume_from_first_vertex(Q)
         for g in lattice_symmetries(P):
             Pg = validate_fano([mat_vec(g, v) for v in P.vertices])
-            assert singularity_multiset(Pg) == singularity_multiset(P)
-            assert qg_dimension(Pg) == qg_dimension(P)
+            assert multiset_of(Pg) == multiset_of(P)
+            assert qg_dimension(singularity_report(Pg)) == qg_dimension(
+                singularity_report(P)
+            )
 
 
 PAPER_P = json.loads(
@@ -208,8 +277,8 @@ GL2_GENERATORS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0)
 
 def _invariants(P):
     return (
-        singularity_multiset(P),
-        qg_dimension(P),
+        multiset_of(P),
+        qg_dimension(singularity_report(P)),
         normalized_volume(polar(P)),
         is_k_polystable(P),
         len(lattice_symmetries(P)),
@@ -275,3 +344,30 @@ def test_polar_facet_points_informational():
     # case: polar of P2 triangle has facets with interior lattice points
     notes = polar_facet_interior_points(validate_fano(P2))
     assert any((0, 0) != p for pts in notes.values() for p in pts)
+
+
+@st.composite
+def fano_polygons(draw):
+    """The hull of P2's rays and up to nine random primitive vectors."""
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda v: v != (0, 0)),
+            min_size=2,
+            max_size=9,
+        )
+    )
+    return validate_fano(convex_hull([primitive(v) for v in pts] + P2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=fano_polygons(), word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=12))
+def test_singularity_report_matches_the_reference(P, word):
+    """The Smith-form quotient of each edge equals the one read off after
+    sending the first ray to (0, 1), on random Fano polygons and their
+    GL2(Z) images."""
+    g = reduce(mat_mul, word, ((1, 0), (0, 1)))
+    for Q in (P, validate_fano([mat_vec(g, v) for v in P.vertices])):
+        n = len(Q.vertices)
+        assert singularity_report(Q) == tuple(
+            reference_edge_singularity(Q, i) for i in range(n)
+        )
