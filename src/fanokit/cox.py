@@ -55,9 +55,6 @@ class CoxPresentation:
     def anticanonical(self):
         return tuple(sum(row) for row in self.weights)
 
-    def class_of(self, var_index):
-        return self.variable_classes[var_index]
-
     def irrelevant_generators(self):
         """Per maximal cone, the squarefree monomial on the complement rays."""
         return tuple(
@@ -250,9 +247,6 @@ class AbelianQuotient:
     @property
     def index(self):
         return prod(d for d, _ in self.factors)
-
-    def is_cyclic(self):
-        return len(self.factors) <= 1
 
     def equivalent(self, other):
         """Equality up to coordinate permutation and unit weight rescaling."""

@@ -6,38 +6,37 @@ and takes its clean-up, immutability and product loop from that core.  The
 classical period of f is the generating function of the constant terms of
 its powers: pi_f(t) = sum_k [const term of f^k] t^k.
 
-classical_period takes the constant terms from half the powers.  With
-K = order and a = floor(k/2), const(f^k) = sum_e [f^a]_e * [f^(k-a)]_(-e),
-so f^1 .. f^J, J = ceil(K/2), give every constant term through t^K: once
-f^j is built, the terms of f^(2j-1) and f^(2j) are read off, and f^(j-1)
-is dropped, so at most two powers are held.  Each f^j is pruned to the
-terms that can still pair with a power of index at most K - j: x^e is kept
-only if -l(e) <= (K - j) * h_l, h_l = max l over the support of f, for every
-pruning functional l (the +-unit vectors and, in dimension 2, the edge
-normals of the Newton polygon).  The rule is sound for every l, and a
-kept term of f^j only needs kept terms of f^(j-1).  If some h_l < 0 the
-origin lies outside Newt(f), no e pairs with -e, and every coefficient
-after the first is 0.
+classical_period takes the constant terms from half the powers: with K =
+order and a = floor(k/2), const(f^k) = sum_e [f^a]_e * [f^(k-a)]_(-e), so
+f^1 .. f^J, J = ceil(K/2), give every constant term through t^K, two powers
+held at a time.  Each power is a set of rows of packed fields:
 
-The parameters a of f are exponent coordinates too: a ParamPoly coefficient
-c(a) of x^e is flattened into its terms q * x^e * a^alpha.  Each flat
-exponent (e, alpha) is packed into one int, the sum of its coordinates
-times B^i in balanced base B = 2R + 1, R = K * max |coordinate| over the
-flat support of f (at least 1).  Every exponent of a power up to f^K has
-coordinates in [-R, R], where balanced digits are unique, so pack is
-injective there, and it is linear, so a product adds two ints.  Each kept
-term also carries its margins m_l = l(e) + (K - j) * h_l >= 0 as fields of
-one int (l is 0 on alpha); a product's margins are its factors' margins
-plus the fields l(s) - h_l of the term s of f, so the prune test is one
-addition and one mask per new term.  With D the lcm of every rational
-coefficient, those inside ParamPolys included, the powers are those of
-D*f on int coefficients, and const(f^k) = const((D*f)^k) / D^k.
-
-Only the pairing sees the parameters.  Without them the partner of p is
--p.  With them each power is grouped once by x-part, p = px + B^dim * pa
-with px balanced; the products of terms whose x-parts cancel are summed by
-packed exponent, whose digits past the x-part are alpha, in [0, R], and
-each sum is unpacked into one ParamPoly over f.params per order.
+* Frame.  A unimodular change of exponents, which keeps the period, makes
+  the field axis x run along a primitive difference of two exponents, so
+  every power fills whole runs of fields, and along few lines.
+* Rows.  Each ParamPoly coefficient c(a) of x^e is flattened into its terms
+  q * x^e * a^alpha, scaled to ints by the lcm D of every denominator
+  (const(f^k) = const((D f)^k) / D^k).  A power maps a row key, the other
+  coordinates and alpha packed in balanced base 2R + 1 (R = K times their
+  largest size in f: injective and linear), to [lo, row], where the
+  coefficient of x^(lo + i) is the signed field i of w bits of the int row.
+  w is a multiple of 64 above bit_length(L^J), L = sum |D c|, so every
+  field, partial sums included, is below 2^(w-1) in size.  A step adds
+  row * G, one C multiply-add, for each group G of f's terms sharing a key.
+* Prune.  x^e in f^j is kept only if -l(e) <= (K - j) * h_l, h_l = max l
+  over the support of f, for each functional l (the Newton polygon's edge
+  normals in dimension 2, else the +-unit vectors): a kept term of f^j
+  needs only kept terms of f^(j-1).  A rounding shift below and a balanced
+  mask above cut a row to its x range.  If some h_l < 0 the origin is
+  outside Newt(f) and every coefficient after the first is 0.
+* Pairing.  Each row is decoded once: a bias sets each field's top bit,
+  flipping it back leaves the field in two's complement, and the bytes are
+  read as 64-bit limbs.  Row r of f^a pairs with row -r of f^b reversed
+  through sum(map(mul, ...)), their parameter parts adding.
+* Budget.  The work, rows x fields x w over the J powers, is at most J * w
+  times the terms f^J can have: the fewer of the monomials of degree <= J in
+  f's terms and the box of f^J's x-part times its parameter exponents, w
+  from J * bit_length(L); over MAX_FIELD_BITS it raises WorkBudgetExceeded.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -48,14 +47,20 @@ interior lattice point, and 0 at the origin.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import comb, gcd, lcm
+from itertools import combinations, repeat
+from math import comb, gcd, lcm, prod
+from operator import add, mul, neg
+from sys import byteorder
 
-from .errors import SchemaError, json_ints, json_list
-from .linalg import dot, is_unimodular, mat_vec
+from .errors import SchemaError, WorkBudgetExceeded, json_ints, json_list
+from .linalg import identity, is_unimodular, mat_vec, primitive, snf, transpose, vec_sub
 from .polygon import classify_lattice_point, convex_hull, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
+
+# Most field bits classical_period may hold, summed over the powers it builds:
+# at most 5.2 * 10^8 for the paper's f at order 100, so that runs.
+MAX_FIELD_BITS = 10**10
 
 
 class LaurentPolynomial(SparsePoly):
@@ -78,55 +83,33 @@ class LaurentPolynomial(SparsePoly):
         return self.terms.get((0,) * self.dim, Fraction(0))
 
     def specialize(self, assignments):
-        return LaurentPolynomial(
-            self.dim,
-            tuple(p for p in self.params if p not in assignments),
-            {e: coeff_substitute(c, assignments) for e, c in self.terms.items()},
-        )
+        terms = {e: coeff_substitute(c, assignments) for e, c in self.terms.items()}
+        return LaurentPolynomial(self.dim, [p for p in self.params if p not in assignments], terms)
 
     def monomial_substitution(self, g):
         """Exponent change x^e -> x^(g e) for a unimodular matrix g."""
         if not is_unimodular(g):
             raise ValueError("change of variables must be unimodular")
-        return LaurentPolynomial(
-            self.dim, self.params, {mat_vec(g, e): c for e, c in self.terms.items()}
-        )
+        terms = {mat_vec(g, e): c for e, c in self.terms.items()}
+        return LaurentPolynomial(self.dim, self.params, terms)
 
     def __str__(self):
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"x{i+1}^{k}" for i, k in enumerate(e) if k
-            ) or "1"
-            parts.append(f"({self.terms[e]})*{mono}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(
+            f"({self.terms[e]})*" + ("*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k) or "1")
+            for e in sorted(self.terms, reverse=True)) or "0"
 
     __repr__ = __str__
 
 
-def _support_bounds(f):
-    """Pairs (l, max of l over the support of f) for the pruning functionals.
-
-    The functionals are the +-unit vectors and, in dimension 2, the edge
-    normals of the Newton polygon; an f without terms needs none.
-    """
-    if not f.terms:
-        return []
-    ls = [tuple(s if j == i else 0 for j in range(f.dim)) for i in range(f.dim) for s in (1, -1)]
-    if f.dim == 2:
-        hull = convex_hull(f.terms)
-        ls += [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b]
-    return [(l, max(dot(l, e) for e in f.terms)) for l in ls]
-
-
-def _pack(e, base):
-    """sum e_i * base**i: an exponent vector as one int in balanced ``base``."""
-    return sum(k * base**i for i, k in enumerate(e))
-
-
-def _fields(values, width):
-    """sum v_i * 2**(width*i): one int holding ``values`` in fields of ``width`` bits."""
-    return sum(v << (width * i) for i, v in enumerate(values))
+def _support_bounds(support):
+    """(l, max of l, min of l) over ``support`` for each pruning functional l: the
+    hull's edge normals in dimension 2, else or for a flat hull the +-unit vectors."""
+    dim = len(support[0]) if support else 0
+    hull = convex_hull(support) if dim == 2 else ()
+    ls = [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1])]
+    if len(hull) < 3 and support:
+        ls += [tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    return [(l, max(v), min(v)) for l in ls for v in ([sum(map(mul, l, e)) for e in support],)]
 
 
 def _flat_terms(f):
@@ -136,113 +119,166 @@ def _flat_terms(f):
         for p in set(names) - set(f.params):
             raise ValueError(f"coefficient parameter {p!r} is not in {list(f.params)}")
         for a, q in terms.items():
-            alpha = dict(zip(names, a))
-            yield e + tuple(alpha.get(p, 0) for p in f.params), Fraction(q)
+            yield e + tuple(map(dict(zip(names, a)).get, f.params, repeat(0))), Fraction(q)
 
 
-def _power_step(power, margins, g, mask):
-    """The next power and its margins: the terms of power * g that stay in reach.
+def _row_frame(support, dim):
+    """{e: U e} over ``support``, U unimodular with U v = e_0 (U = 1 for v = e_0)
+    for the primitive difference v of two exponents (a hull edge in dimension
+    2) with the fewest lines along it through the support, told apart by n with
+    n(v) = 0, shorter v first.  Without such a v a zero axis goes in front."""
+    pts, cands = set(support), ()
+    if dim == 2 and len(pts) > 1:
+        hull = convex_hull(support)
+        cands = {max(v, tuple(map(neg, v))) for a, b in zip(hull, hull[1:] + hull[:1])
+                 if tuple(map(add, a, v := primitive(vec_sub(b, a)))) in pts}
+    big, best = 4 * max((abs(c) for s in pts for c in s), default=0) + 1, (len(pts) + 1, None)
+    for v in sorted(cands, key=lambda v: (sum(map(abs, v)), tuple(map(neg, v)))) or [
+            v for a, b in combinations(support, 2) if gcd(*(v := vec_sub(a, b))) == 1]:
+        p = next(i for i, c in enumerate(v) if c)
+        n = [v[p] * (big * max(map(abs, v))) ** i for i in range(dim)]
+        n[p] -= sum(map(mul, v, n)) // v[p]
+        best = min(best, (len({sum(map(mul, s, n)) for s in pts}), v), key=lambda t: t[0])
+    if (v := best[1]) is None or v == identity(dim)[0]:
+        return {e: e if v else (0,) + e for e in support}
+    _, U, V = snf(transpose([v]))
+    U = [tuple(V[0][0] * c for c in U[0])] + list(U[1:])
+    return {e: tuple(sum(map(mul, r, e)) for r in U) for e in support}
 
-    ``power`` and ``margins`` map packed exponents to coefficients and
-    packed margins, ``g`` lists (packed exponent, coefficient, packed
-    l(s) - h_l) for the terms s of f.  A product term is kept when the
-    offset top bit of each margin field, ``mask``, is still set (no margin
-    went negative) and its coefficient is nonzero.
-    """
-    coeffs = {}
-    kept = {}
-    for p1, c1 in power.items():
-        m1 = margins[p1]
-        for p2, c2, m2 in g:
-            p = p1 + p2
-            c = coeffs.get(p)
-            if c is not None:
-                coeffs[p] = c + c1 * c2
+
+def _row_step(power, groups, w, cut):
+    """power * f, {row key: [lo, row]}: each row * G, for (key offset, lo, G)
+    in ``groups``, added into its target row at that row's lowest lo so far,
+    and each row cut to the x range ``cut`` gives (None drops it)."""
+    acc = {}
+    for key, (lo, row) in power.items():
+        for dr, ex, g in groups:
+            cur = acc.get(key + dr)
+            if cur is None:
+                acc[key + dr] = [lo + ex, row * g]
+            elif lo + ex >= cur[0]:
+                cur[1] += row * g << w * (lo + ex - cur[0])
             else:
-                coeffs[p] = c1 * c2
-                m = m1 + m2
-                if m & mask == mask:
-                    kept[p] = m
-    return {p: c for p in kept if (c := coeffs[p]) != 0}, kept
+                cur[:] = lo + ex, (cur[1] << w * (cur[0] - lo - ex)) + row * g
+    for k, cur in acc.items() if cut else ():
+        lo, hi = cut(k) or (cur[0], cur[0] - 1)
+        if lo > cur[0]:  # a rounding shift drops the fields below lo
+            cur[:] = lo, (cur[1] + (1 << w * (lo - cur[0]) - 1)) >> w * (lo - cur[0])
+        half = 1 << w * (hi - cur[0] + 1) - 1 if hi >= cur[0] else 0
+        cur[1] = ((cur[1] + half) & (2 * half - 1)) - half if half else 0
+    return {k: cur for k, cur in acc.items() if cur[1]}
 
 
-def _paired_constant(a, b):
-    """sum a[p] * b[-p], over the smaller of two packed term maps.
-
-    When a is b (an even power) each pair p, -p is taken once and doubled.
-    """
-    if a is b:
-        c0 = a.get(0, 0)
-        return c0 * c0 + 2 * sum(c * a[-p] for p, c in a.items() if p > 0 and -p in a)
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(c * b[-p] for p, c in a.items() if -p in b)
-
-
-def _by_x_part(power, xbase):
-    """{px: [(p, c)]}: the terms of a power by x-part px, p = px + xbase * pa."""
-    out = {}
-    for p, c in power.items():
-        out.setdefault((p + xbase // 2) % xbase - xbase // 2, []).append((p, c))
+def _decoded(groups, w):
+    """{rest part: (L, [(parameter part, fields)])}: the rows of each group of
+    a power decoded, all in one pass, over the group's x range from L; the
+    unsigned lower limbs of a field go under its signed top limb by maps."""
+    m, spans, raw = w // 64, [], []
+    for rp, rows in groups.items():
+        low = min(lo for _, lo, _ in rows)
+        n = max(lo + row.bit_length() // w for _, lo, row in rows) - low + 1
+        bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+        raw += [(((row << w * (lo - low)) + bias) ^ bias).to_bytes(n * w // 8, "little")
+                for _, lo, row in rows]
+        spans.append((rp, low, n, [pa for pa, _, _ in rows]))
+    step = -1 if byteorder == "big" else 1  # reversed bytes read natively: the limbs reversed
+    limbs = memoryview(b"".join(raw)[::step])
+    fields, unsigned = limbs.cast("q")[::step], limbs.cast("Q")[::step]
+    if m > 1:
+        fields = fields[m - 1 :: m]
+        for t in reversed(range(m - 1)):
+            fields = map(add, map(mul, fields, repeat(1 << 64)), unsigned[t::m])
+    fields, out, i = list(fields), {}, 0
+    for rp, low, n, pas in spans:
+        out[rp] = low, [(pa, fields[i + t * n : i + t * n + n]) for t, pa in enumerate(pas)]
+        i += n * len(pas)
     return out
 
 
-def _paired_params(a, b, denom, params, base, dim):
-    """The ParamPoly (or Fraction(0)) of const_x(a * b) / denom, a and b by x-part."""
+def _paired(a, b, w):
+    """{parameter part: sum over x of a row of a times a row of b at -x}, a and b
+    as (rest part -> rows (parameter part, lo, row), rest part -> decoded group,
+    filled on first use).  Rows pair by opposite rest parts, once if a is b."""
+    for x, y in ((a, b), (b, a)):
+        x[1].update(_decoded({r: rs for r, rs in x[0].items() if -r in y[0] and r not in x[1]}, w))
     sums = {}
-    for px, low in a.items():
-        for p, c in low:
-            for q, d in b.get(-px, ()):
-                sums[p + q] = sums.get(p + q, 0) + c * d
-    digits = range(dim, dim + len(params))
-    out = ParamPoly(params, {tuple(s // base**i % base for i in digits): Fraction(c, denom)
-                             for s, c in sums.items()})
-    return out if out.terms else Fraction(0)
+    for rp, (la, ra) in a[1].items():
+        if (a is b and rp < 0) or -rp not in b[1]:
+            continue
+        lb, rb = b[1][-rp]
+        hb, twice = lb + len(rb[0][1]) - 1, 1 + (a is b and rp != 0)
+        x0 = max(la, -hb)
+        partner = [(pb, fb[-1 - x0 - hb :: -1]) for pb, fb in rb if x0 + hb < len(fb)]
+        for pa, fa in ra:
+            fa = fa[x0 - la :] if x0 > la else fa
+            for pb, r in partner:
+                sums[pa + pb] = sums.get(pa + pb, 0) + twice * sum(map(mul, fa, r))
+    return sums
 
 
 def classical_period(f, order):
-    """Series of constant terms of f^k, k = 0..order, exact at every order.
-
-    Builds only f^1 .. f^ceil(order/2), pruned, on packed exponents, with
-    the parameters of f as extra coordinates, and int coefficients, holding
-    two powers at a time; the module docstring states the pairing, the
-    prune rule, the packing, the scaling and the unpacking into ParamPoly
-    coefficients.  A zero constant term is Fraction(0).
-    """
-    flat = list(_flat_terms(f))
-    dim = f.dim  # the margins read the x-part of a flat exponent only
-    scale = lcm(*(q.denominator for _, q in flat))
-    bounds = _support_bounds(f)
-    coeffs = [Fraction(1)]
-    if any(h < 0 for _, h in bounds):
+    """Series of constant terms of f^k, k = 0..order, exact at every order,
+    from f^1 .. f^ceil(order/2) as the module docstring says.  A zero constant
+    term is Fraction(0).  Raises WorkBudgetExceeded over MAX_FIELD_BITS."""
+    frame = _row_frame(list(f.terms), f.dim)
+    flat = [(frame[e[: f.dim]] + e[f.dim :], q) for e, q in _flat_terms(f)]
+    dim, scale = len(next(iter(frame.values()), (0,))), lcm(*(q.denominator for _, q in flat))
+    flat, coeffs = [(e, int(q * scale)) for e, q in flat], [Fraction(1)]
+    bounds = _support_bounds(list(frame.values()))
+    if any(h < 0 for _, h, _ in bounds):
         return PowerSeries(order, coeffs)
-    base = 2 * max(order * max((abs(k) for e, _ in flat for k in e), default=0), 1) + 1
-    # Every h_l >= 0 from here on.  Margins of kept terms lie in
-    # [0, order*h_l] and those of candidate products in
-    # [-(h_l - min l), order*h_l], inside (-half, half): stored plus `half`,
-    # every field stays in [0, 2*half), so no field borrows from the next,
-    # and its top bit is set exactly when the margin is >= 0.
-    spans = [h - min(dot(l, e) for e in f.terms) for l, h in bounds]
-    half = 1 << max([order * h for _, h in bounds] + spans, default=0).bit_length()
-    width = half.bit_length()
-    mask = _fields([half] * len(bounds), width)
-    g = [
-        (_pack(e, base), int(q * scale), _fields([dot(l, e[:dim]) - h for l, h in bounds], width))
-        for e, q in flat
-    ]
-    view, pair = (lambda power: power), (lambda a, b, d: Fraction(_paired_constant(a, b), d))
-    if f.params:
-        view = partial(_by_x_part, xbase=base**f.dim)
-        pair = partial(_paired_params, params=f.params, base=base, dim=f.dim)
-    raw, margins = {0: 1}, {0: _fields([order * h + half for _, h in bounds], width)}
-    prev = view(raw)
-    for j in range(1, (order + 1) // 2 + 1):
-        raw, margins = _power_step(raw, margins, g, mask)
-        power = view(raw)
-        for k, low in ((2 * j - 1, prev), (2 * j, power)):
+    half, top = (order + 1) // 2, max((sum(e[dim:]) for e, _ in flat), default=0)
+    size = sum(abs(c) for _, c in flat)  # every |field| is at most size**half
+    w = 64 * (half * size.bit_length() // 64 + 1)  # at least the exact w below
+    box = comb(half * top + len(f.params), len(f.params)) * prod(
+        half * (max(col) - min(col)) + 1 for col in zip(*frame.values()))
+    if (work := half * w * min(box, comb(half + len(flat), len(flat)))) > MAX_FIELD_BITS:
+        raise WorkBudgetExceeded(f"the classical period to order {order} would hold up to "
+                                 f"{work} field bits, over the limit of {MAX_FIELD_BITS}")
+    w = 64 * ((size**half).bit_length() // 64 + 1)  # exact, now that the budget bounds half
+    base = 2 * max(order * max((abs(k) for e, _ in flat for k in e[1:]), default=0), 1) + 1
+    mod, rows = base ** (dim - 1), {}
+    for e, c in flat:
+        rows.setdefault(sum(k * base**i for i, k in enumerate(e[1:])), []).append((e[0], c))
+    groups = [(dr, min(ts)[0], sum(c << w * (x - min(ts)[0]) for x, c in ts))
+              for dr, ts in rows.items()]
+    rest_part = (lambda k: (k + mod // 2) % mod - mod // 2) if f.params else (lambda k: k)
+    digits = [base**i for i in range(dim - 1, dim - 1 + len(f.params))]
+
+    def cuts(room, memo):  # k -> the x range of row k in the pruned region, by rest part
+        def cut(k):
+            if (rp := rest_part(k)) not in memo:  # balanced digits, read by rounding
+                rest = [((rp + base**i // 2) // base**i + base // 2) % base - base // 2
+                        for i in range(dim - 1)]
+                cs = [(l[0], -room * h - sum(map(mul, l[1:], rest))) for l, h, _ in bounds]
+                memo[rp] = None if any(c > 0 for l0, c in cs if l0 == 0) else (
+                    max(-(-c // l0) for l0, c in cs if l0 > 0),
+                    min(c // l0 for l0, c in cs if l0 < 0))
+            return memo[rp]
+        return cut
+
+    def view(power):
+        by_rest = {}
+        for k, (lo, row) in power.items():
+            by_rest.setdefault(rest_part(k), []).append((k - rest_part(k), lo, row))
+        return by_rest, {}
+
+    def emit(sums, k):
+        if not f.params:
+            return Fraction(sums.get(0, 0), scale**k)
+        out = ParamPoly(f.params, {tuple(s // d % base for d in digits): Fraction(c, scale**k)
+                                   for s, c in sums.items()})
+        return out if out.terms else Fraction(0)
+
+    prev = view(power := {0: [0, 1]})
+    for j in range(1, half + 1):  # the last power only pairs, so it is not pruned
+        prune = j < half and any(-j * low > (order - j) * h for _, h, low in bounds)
+        power = _row_step(power, groups, w, prune and cuts(order - j, {}))
+        cur = view(power)
+        for k, low in ((2 * j - 1, prev), (2 * j, cur)):
             if k <= order:
-                coeffs.append(pair(low, power, scale**k))
-        prev = power
+                coeffs.append(emit(_paired(cur, low, w), k))
+        prev = cur
     return PowerSeries(order, coeffs)
 
 
@@ -254,27 +290,17 @@ def edge_binomial_skeleton(P, param_prefix="p"):
     get fresh parameters named <prefix>1, <prefix>2, ... in lexicographic
     point order, and the origin gets 0.
     """
-    terms = {}
-    interior = []
-    for p in lattice_points(P):
-        kind = classify_lattice_point(P, p)
-        if kind == "interior" and p != (0, 0):
-            interior.append(p)
+    interior = [p for p in lattice_points(P)
+                if p != (0, 0) and classify_lattice_point(P, p) == "interior"]
     params = tuple(f"{param_prefix}{i+1}" for i in range(len(interior)))
-    for i, p in enumerate(interior):
-        terms[p] = ParamPoly.variable(params[i], params)
-    for v in P.vertices:
-        terms[v] = Fraction(1)
+    terms = {p: ParamPoly.variable(name, params) for p, name in zip(interior, params)}
+    terms.update((v, Fraction(1)) for v in P.vertices)
     for u, v in P.edges():
-        d = (v[0] - u[0], v[1] - u[1])
-        l = gcd(abs(d[0]), abs(d[1]))
-        step = (d[0] // l, d[1] // l)
+        l = gcd(v[0] - u[0], v[1] - u[1])
+        step = ((v[0] - u[0]) // l, (v[1] - u[1]) // l)
         for j in range(1, l):
-            pt = (u[0] + j * step[0], u[1] + j * step[1])
-            terms[pt] = Fraction(comb(l, j))
-    return LaurentPolynomial(2, params, terms), {
-        p: params[i] for i, p in enumerate(interior)
-    }
+            terms[u[0] + j * step[0], u[1] + j * step[1]] = Fraction(comb(l, j))
+    return LaurentPolynomial(2, params, terms), dict(zip(interior, params))
 
 
 def laurent_from_json(data):
@@ -285,8 +311,7 @@ def laurent_from_json(data):
     for i, p in enumerate(params):
         if p in params[:i]:
             raise SchemaError(f"repeated parameter {p!r}")
-    terms = {}
-    dim = None
+    terms, dim = {}, None
     for item in json_list(data["terms"], "terms"):
         if not isinstance(item, dict) or "exp" not in item or "coeff" not in item:
             raise SchemaError("each term needs 'exp' and 'coeff'")
@@ -306,7 +331,5 @@ def laurent_from_json(data):
 
 
 def laurent_to_json(f):
-    out = []
-    for e in sorted(f.terms, reverse=True):
-        out.append({"exp": list(e), "coeff": str(f.terms[e])})
-    return {"params": list(f.params), "terms": out}
+    terms = [{"exp": list(e), "coeff": str(f.terms[e])} for e in sorted(f.terms, reverse=True)]
+    return {"params": list(f.params), "terms": terms}

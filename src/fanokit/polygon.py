@@ -40,7 +40,8 @@ def convex_hull(points):
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(vec_sub(out[-1], out[-2]), vec_sub(p, out[-2])) <= 0:
+            while len(out) >= 2 and (out[-1][0] - (a := out[-2])[0]) * (p[1] - a[1]) <= (
+                    out[-1][1] - a[1]) * (p[0] - a[0]):  # no counterclockwise turn at out[-1]
                 out.pop()
             out.append(p)
         return out

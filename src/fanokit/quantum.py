@@ -2,12 +2,15 @@
 
 Wall curves come from the rank-one relation across each codimension-one cone
 of the fan; their classes span the Mori cone, whose dual is the nef cone.
-The quantum period of a hypersurface is the factorial sum over integral
-curve classes in the dual Mori cone, truncated by the anticanonical degree.
-The sum walks the lattice points in runs along the last coordinate, where
-every class pairing is linear: each factorial is computed at a run's start
-and stepped by the ratio (a + 1)...(a + s); the integer numerators are added
-per degree and denominator, and one Fraction per degree is built at the end.
+The quantum period of a hypersurface is the factorial sum over the integral
+curve classes l with <w_i, l> >= 0 for every variable class w_i (on a
+complete toric variety every nef class is effective, a nonnegative sum of
+the w_i, so the nef inequalities add nothing), truncated by the
+anticanonical degree.  The sum walks the lattice points in runs along the
+last coordinate, where every class pairing is linear: each factorial is
+computed at a run's start and stepped by the ratio (a + 1)...(a + s); the
+integer numerators are added per degree and denominator, and one Fraction
+per degree is built at the end.
 """
 
 from __future__ import annotations
@@ -76,20 +79,14 @@ def walls(cox):
     return tuple(out)
 
 
-def _nef_rays(cox, ws):
-    """Generators of the nef cone, the dual of the cone the wall curves span."""
-    classes = sorted({primitive(w.curve_class) for w in ws})
-    nef = dual_cone(halfspaces(cox.class_rank, classes))
+def mori_and_nef(cox):
+    """Wall curves, extreme Mori rays, and nef cone generators: the rays of
+    the dual of the cone the wall curves span."""
+    ws = walls(cox)
+    nef = dual_cone(halfspaces(cox.class_rank, sorted({primitive(w.curve_class) for w in ws})))
     if nef.lineality or not nef.rays:
         raise Unbounded("nef cone is not full-dimensional")
-    return nef.rays
-
-
-def mori_and_nef(cox):
-    """Wall curves, extreme Mori rays, and nef cone generators."""
-    ws = walls(cox)
-    nef = _nef_rays(cox, ws)
-    return ws, dual_cone(halfspaces(cox.class_rank, nef)).rays, nef
+    return ws, dual_cone(halfspaces(cox.class_rank, nef.rays)).rays, nef.rays
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,10 @@ class CurveClassCone:
     degree: tuple
     rays: tuple
 
-    def contains(self, l):
-        return self.system.contains(tuple(l))
-
 
 def lambda_cone(cox, nef_rays, degree):
-    """The curve cone cut out by nef generators and variable classes.
+    """The curve cone cut out by the given nef generators and the variable
+    classes; quantum_period passes none, as they are implied.
 
     The degree functional must be strictly positive on every extreme ray,
     otherwise degree-truncated enumeration would not terminate.
@@ -137,17 +132,18 @@ def _step(f, a, s):
 
 
 def quantum_period(cox, hypersurface_class, order):
-    """Factorial sum over the curve cone, truncated at the given degree.
+    """Factorial sum over {l : <w_i, l> >= 0}, truncated at the given degree.
 
-    Returns the period and its regularization (coefficients scaled by d!).
-    Raises WorkBudgetExceeded when _box_points is over MAX_BOX_POINTS.
+    The cone is built from the variable classes alone; the module docstring
+    says why the nef normals add nothing.  Returns the period and its
+    regularization (coefficients scaled by d!).  Raises WorkBudgetExceeded
+    when _box_points is over MAX_BOX_POINTS.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    nef = _nef_rays(cox, walls(cox))
     x_class = tuple(int(c) for c in hypersurface_class)
     degree = vec_sub(cox.anticanonical, x_class)
-    lam = lambda_cone(cox, nef, degree)
+    lam = lambda_cone(cox, (), degree)
     for ray in lam.rays:
         if dot(x_class, ray) < 0:
             raise Unbounded(f"hypersurface degree is negative on ray {ray}")

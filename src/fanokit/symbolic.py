@@ -50,7 +50,7 @@ class SparsePoly(Frozen):
     def _set_terms(self, terms, arity, axes):
         clean = {}
         for e, c in dict(terms).items():
-            e = tuple(int(k) for k in e)
+            e = tuple(map(int, e))
             if len(e) != arity:
                 raise ValueError(f"exponent arity does not match {axes}")
             if c != 0:
@@ -119,9 +119,6 @@ class ParamPoly(SparsePoly):
         return cls(params, {e: Fraction(1)})
 
     # -- predicates ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(all(k == 0 for k in e) for e in self.terms)

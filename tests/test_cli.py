@@ -664,3 +664,15 @@ def test_quantum_work_budget_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("periods", "classical", "--fixture", "paper"),
+    ("periods", "classical", "--fixture", "paper-f", "--symbolic"),
+], ids=["specialized", "symbolic"])
+def test_classical_work_budget_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--order", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1

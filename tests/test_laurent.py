@@ -1,24 +1,26 @@
 import random
+import time
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanokit.laurent
-from fanokit.errors import SchemaError
+from fanokit.errors import SchemaError, WorkBudgetExceeded
 from fanokit.laurent import (
     LaurentPolynomial,
+    _flat_terms,
     classical_period,
     edge_binomial_skeleton,
     laurent_from_json,
     laurent_to_json,
 )
-from fanokit.linalg import mat_mul
-from fanokit.polygon import validate_fano
+from fanokit.linalg import dot, mat_mul
+from fanokit.polygon import convex_hull, validate_fano
 from fanokit.series import PowerSeries
 from fanokit.symbolic import ParamPoly
 
@@ -88,6 +90,103 @@ def reference_period(f, order):
     return PowerSeries(order, coeffs)
 
 
+# The dict kernel the row kernel replaced, kept as a reference: f^1 ..
+# f^ceil(K/2) on packed exponents with int coefficients, each term pruned by
+# its margins l(e) + (K - j) * h_l >= 0, held as offset fields of one int.
+
+
+def _dict_support_bounds(f):
+    ls = [tuple(s if j == i else 0 for j in range(f.dim)) for i in range(f.dim) for s in (1, -1)]
+    if f.dim == 2:
+        hull = convex_hull(f.terms)
+        ls += [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b]
+    return [(l, max(dot(l, e) for e in f.terms)) for l in ls] if f.terms else []
+
+
+def _pack(e, base):
+    return sum(k * base**i for i, k in enumerate(e))
+
+
+def _fields(values, width):
+    return sum(v << (width * i) for i, v in enumerate(values))
+
+
+def _dict_power_step(power, margins, g, mask):
+    coeffs, kept = {}, {}
+    for p1, c1 in power.items():
+        m1 = margins[p1]
+        for p2, c2, m2 in g:
+            p = p1 + p2
+            c = coeffs.get(p)
+            if c is not None:
+                coeffs[p] = c + c1 * c2
+            else:
+                coeffs[p] = c1 * c2
+                m = m1 + m2
+                if m & mask == mask:
+                    kept[p] = m
+    return {p: c for p in kept if (c := coeffs[p]) != 0}, kept
+
+
+def _dict_paired_constant(a, b):
+    if a is b:
+        c0 = a.get(0, 0)
+        return c0 * c0 + 2 * sum(c * a[-p] for p, c in a.items() if p > 0 and -p in a)
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(c * b[-p] for p, c in a.items() if -p in b)
+
+
+def _dict_by_x_part(power, xbase):
+    out = {}
+    for p, c in power.items():
+        out.setdefault((p + xbase // 2) % xbase - xbase // 2, []).append((p, c))
+    return out
+
+
+def _dict_paired_params(a, b, denom, params, base, dim):
+    sums = {}
+    for px, low in a.items():
+        for p, c in low:
+            for q, d in b.get(-px, ()):
+                sums[p + q] = sums.get(p + q, 0) + c * d
+    digits = range(dim, dim + len(params))
+    out = ParamPoly(params, {tuple(s // base**i % base for i in digits): Fraction(c, denom)
+                             for s, c in sums.items()})
+    return out if out.terms else Fraction(0)
+
+
+def dict_kernel_period(f, order):
+    """The classical period by the dict kernel: one dict operation per term product."""
+    flat = list(_flat_terms(f))
+    scale = lcm(*(q.denominator for _, q in flat))
+    bounds = _dict_support_bounds(f)
+    coeffs = [Fraction(1)]
+    if any(h < 0 for _, h in bounds):
+        return PowerSeries(order, coeffs)
+    base = 2 * max(order * max((abs(k) for e, _ in flat for k in e), default=0), 1) + 1
+    spans = [h - min(dot(l, e) for e in f.terms) for l, h in bounds]
+    half = 1 << max([order * h for _, h in bounds] + spans, default=0).bit_length()
+    width = half.bit_length()
+    mask = _fields([half] * len(bounds), width)
+    margins = [[dot(l, e[: f.dim]) - h for l, h in bounds] for e, _ in flat]
+    g = [(_pack(e, base), int(q * scale), _fields(m, width)) for (e, q), m in zip(flat, margins)]
+    view, pair = (lambda power: power), (lambda a, b, d: Fraction(_dict_paired_constant(a, b), d))
+    if f.params:
+        view = partial(_dict_by_x_part, xbase=base**f.dim)
+        pair = partial(_dict_paired_params, params=f.params, base=base, dim=f.dim)
+    raw, margins = {0: 1}, {0: _fields([order * h + half for _, h in bounds], width)}
+    prev = view(raw)
+    for j in range(1, (order + 1) // 2 + 1):
+        raw, margins = _dict_power_step(raw, margins, g, mask)
+        power = view(raw)
+        for k, low in ((2 * j - 1, prev), (2 * j, power)):
+            if k <= order:
+                coeffs.append(pair(low, power, scale**k))
+        prev = power
+    return PowerSeries(order, coeffs)
+
+
 def laurent(dim, terms):
     return LaurentPolynomial(dim, (), {e: Fraction(c) for e, c in terms.items()})
 
@@ -129,51 +228,79 @@ def laurent(dim, terms):
          "order9", "order10", "dim0", "dim1-odd", "dim3-odd", "far-exponent", "one-side"],
 )
 def test_classical_period_matches_the_plain_power_loop(f, order):
-    assert classical_period(f, order) == reference_period(f, order)
+    assert classical_period(f, order) == reference_period(f, order) == dict_kernel_period(f, order)
+
+
+def row_fields(row, w):
+    """The balanced w-bit fields of a packed row, lowest first."""
+    out = []
+    while row:
+        out.append(((row + (1 << (w - 1))) & ((1 << w) - 1)) - (1 << (w - 1)))
+        row = (row - out[-1]) >> w
+    return out
+
+
+def in_scaled_polygon(p, hull, s):
+    """p in s * conv(hull), for a counterclockwise hull."""
+    return all((b[0] - a[0]) * (p[1] - s * a[1]) >= (b[1] - a[1]) * (p[0] - s * a[0])
+               for a, b in zip(hull, hull[1:] + hull[:1]))
 
 
 @pytest.mark.parametrize(
-    "f, order, steps, products",
+    "f, order, products, rows, fields",
     [
         (hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0}),
-         12, 6, 6000),
-        (hex_laurent(), 8, 4, 8162),
+         12, 260, [4, 9, 13, 17, 21, 25], [10, 37, 95, 177, 283, 413]),
+        (hex_laurent(), 8, 2720, [10, 54, 207, 634], [14, 98, 485, 1874]),
     ],
     ids=["specialized-order12", "symbolic-order8"],
 )
 def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(
-    monkeypatch, f, order, steps, products
+    monkeypatch, f, order, products, rows, fields
 ):
-    """Term products of the paper polynomial's kernel, all on ints.
+    """Work of the row kernel on the paper polynomial, all on ints.
 
-    Specialized at order 12, the plain loop over f^1 .. f^12 makes 58,680;
-    pruning to -e in (12 - k)*Newt(f) leaves 17,380, and building only
-    f^1 .. f^6, whose pairs give every constant term, leaves 6,000.  With
-    its six parameters as exponent coordinates, the symbolic order-8 period
-    makes 8,162 int products, and the only ParamPolys built are the emitted
-    coefficients (multiplying ParamPoly coefficients term by term built
-    7,024).
+    Specialized at order 12, the plain loop over f^1 .. f^12 makes 58,680
+    term products; pruning to -e in (12 - k)*Newt(f) leaves 17,380, and
+    building only f^1 .. f^6 leaves 6,000, which the dict kernel made one at
+    a time.  The row kernel holds those powers as 4 .. 25 rows (one per
+    y) of 10 .. 413 fields along x, each field in j*Newt(f) and in
+    -(12 - j)*Newt(f), and makes 260 row products, one C-level multiply-add
+    each.  With its six parameters in the row keys, the symbolic order-8
+    period makes 2,720 row products (the dict kernel made 8,162 int
+    products), and the only ParamPolys built are the emitted coefficients.
     """
-    seen = []
-    built = []
-    plain_step = fanokit.laurent._power_step
-    plain_init = ParamPoly.__init__
+    held, made, built = [], [], []
+    plain_step, plain_init = fanokit.laurent._row_step, ParamPoly.__init__
+    hull = convex_hull(f.terms)
 
-    def counting_step(power, margins, g, mask):
-        assert all(type(c) is int for c in power.values())
-        assert all(type(c) is int for _, c, _ in g)
-        seen.append(len(power) * len(g))
-        return plain_step(power, margins, g, mask)
+    def counting_step(power, groups, w, cut):
+        made.append(len(power) * len(groups))
+        out = plain_step(power, groups, w, cut)
+        j = len(held) + 1
+        held.append([(lo, key, row_fields(row, w)) for key, (lo, row) in out.items()])
+        assert all(type(row) is int for _, row in out.values())
+        if not f.params:  # the row key is y, the field index is x
+            for lo, y, row in held[-1]:
+                for x in range(lo, lo + len(row)):
+                    assert in_scaled_polygon((x, y), hull, j)
+                    assert in_scaled_polygon((-x, -y), hull, order - j)
+        return out
 
     def counting_init(self, *args):
         built.append(args)
         plain_init(self, *args)
 
-    monkeypatch.setattr("fanokit.laurent._power_step", counting_step)
+    assert fanokit.laurent._row_frame(list(f.terms), 2) == {e: e for e in f.terms}
+    expected = dict_kernel_period(f, order)
+    monkeypatch.setattr("fanokit.laurent._row_step", counting_step)
     monkeypatch.setattr(ParamPoly, "__init__", counting_init)
-    classical_period(f, order)
-    assert len(seen) == steps
-    assert sum(seen) == products
+    got = classical_period(f, order)
+    monkeypatch.undo()
+    assert got == expected
+    assert [len(power) for power in held] == rows
+    assert [sum(len(row) for *_, row in power) for power in held] == fields
+    assert sum(made) == products
     assert len(built) <= 9
 
 
@@ -208,7 +335,7 @@ def parametric_laurent(draw):
 @settings(max_examples=60, deadline=None)
 @given(f=parametric_laurent(), order=st.integers(0, 8))
 def test_symbolic_classical_period_property(f, order):
-    assert classical_period(f, order) == reference_period(f, order)
+    assert classical_period(f, order) == reference_period(f, order) == dict_kernel_period(f, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,6 +346,7 @@ def test_symbolic_period_specializes_to_the_specialized_period(f, order, data):
     assert (
         classical_period(f, order).specialize(point)
         == classical_period(f.specialize(point), order)
+        == dict_kernel_period(f.specialize(point), order)
     )
 
 
@@ -233,7 +361,7 @@ def test_symbolic_period_specializes_to_the_specialized_period(f, order, data):
 )
 def test_classical_period_property(terms, order):
     f = LaurentPolynomial(2, (), terms)
-    assert classical_period(f, order) == reference_period(f, order)
+    assert classical_period(f, order) == reference_period(f, order) == dict_kernel_period(f, order)
 
 
 UNIMODULAR_GENERATORS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))]
@@ -255,6 +383,64 @@ def test_classical_period_is_invariant_under_unimodular_substitution(terms, gens
     g = reduce(mat_mul, gens, ((1, 0), (0, 1)))
     f = LaurentPolynomial(2, (), terms)
     assert classical_period(f.monomial_substitution(g), order) == classical_period(f, order)
+    assert classical_period(f.monomial_substitution(g), order) == dict_kernel_period(f, order)
+
+
+def summed(*polys):
+    """The sum of Laurent polynomials in two variables, term by term."""
+    terms = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return LaurentPolynomial(2, (), terms)
+
+
+@st.composite
+def mutation_pair(draw):
+    """(f, g) with g the mutation of f by the weight vector w = (0, 1) and
+    the factor F = a + b*x^s, after one GL2(Z) change of both.
+
+    f = sum_h f_h by w-degree h, with F^(-h) dividing f_h for h < 0, and
+    g = sum_h f_h * F^h, so g(x, y) = f(x, y*F(x)); the powers of F come
+    from the reference product LaurentPolynomial.__mul__.
+    """
+    nonzero = RATIONALS.filter(bool)
+    s = draw(st.sampled_from([1, -1, 2]))
+    F = LaurentPolynomial(2, (), {(0, 0): draw(nonzero), (s, 0): draw(nonzero)})
+    f_parts, g_parts = [], []
+    for h in range(-2, 3):
+        xs = st.integers(-2, 2).map(lambda x, h=h: (x, h))
+        part = LaurentPolynomial(2, (), draw(st.dictionaries(xs, RATIONALS, max_size=3)))
+        power = reduce(lambda p, q: p * q, [F] * abs(h), LaurentPolynomial(2, (), {(0, 0): 1}))
+        f_parts.append(part * power if h < 0 else part)
+        g_parts.append(part * power if h > 0 else part)
+    gl = reduce(mat_mul, draw(st.lists(st.sampled_from(UNIMODULAR_GENERATORS), max_size=6)),
+                ((1, 0), (0, 1)))
+    return summed(*f_parts).monomial_substitution(gl), summed(*g_parts).monomial_substitution(gl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=mutation_pair(), order=st.integers(0, 8))
+def test_classical_period_is_invariant_under_mutation(pair, order):
+    """Mutations keep the classical period (Akhtar, Coates, Galkin and
+    Kasprzyk, Minkowski polynomials and mutations, arXiv:1212.1785): the
+    constant term in y of f^k(x, y*F(x)) is that of f^k."""
+    f, g = pair
+    assert classical_period(f, order) == classical_period(g, order)
+
+
+def test_classical_period_work_budget():
+    f = hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0})
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetExceeded, match="order 1000000000"):
+        classical_period(f, 10**9)
+    with pytest.raises(WorkBudgetExceeded):
+        classical_period(hex_laurent(), 10**6)
+    assert time.perf_counter() - start < 1.0
+    # order 100 stays inside the budget; t^100 as the dict kernel gave it
+    assert classical_period(f, 100)[100] == int(
+        "7282190224592979637447594016514932781719947136035085708740704128850012904548870"
+        "75395762868752844232585536")
 
 
 def test_laurent_basics():

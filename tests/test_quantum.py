@@ -15,7 +15,13 @@ from fanokit.cox import (
 from fanokit.errors import NonSimplicial, Unbounded, WorkBudgetExceeded
 from fanokit.laurent import LaurentPolynomial, classical_period
 from fanokit.linalg import dot, mat_mul, mat_vec, vec_sub
-from fanokit.polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_points
+from fanokit.polyhedra import (
+    HalfspaceSystem,
+    dual_cone,
+    halfspaces,
+    integer_point_runs,
+    integer_points,
+)
 from fanokit.quantum import (
     MAX_BOX_POINTS,
     _box_points,
@@ -90,7 +96,7 @@ def test_walls_hexagon():
             assert sum(w.relation[i] * cox.rays[i][j] for i in range(6)) == 0
         # and the curve class pairs with each variable by its coefficient
         for i in range(6):
-            assert dot(w.curve_class, cox.class_of(i)) == w.relation[i]
+            assert dot(w.curve_class, cox.variable_classes[i]) == w.relation[i]
 
 
 def test_walls_incomplete_fan():
@@ -147,8 +153,8 @@ def test_lambda_cone_hexagon():
         ),
     )
     assert set(dual_cone(explicit).rays) == set(lam.rays)
-    assert lam.contains((-4, 1, 1))
-    assert not lam.contains((-1, 0, 0))
+    assert lam.system.contains((-4, 1, 1))
+    assert not lam.system.contains((-1, 0, 0))
 
     trunc = HalfspaceSystem(
         3,
@@ -284,6 +290,39 @@ def test_quantum_period_matches_the_reference_in_any_class_basis(U, order):
     _, _, eq = hypersurface_from_scaffolding(s, cox0)
     cox = change_class_basis(cox0, mat_mul(U, cox0.weights))
     assert_matches_reference(cox, mat_vec(U, eq.class_vector(cox0.weights)), [order])
+
+
+def truncated_runs(cox, nef, degree, order):
+    """Runs of the curve cone cut out by ``nef`` and the variable classes, at degree <= order."""
+    lam = lambda_cone(cox, nef, degree)
+    return integer_point_runs(HalfspaceSystem(
+        cox.class_rank, lam.system.normals + (tuple(-c for c in degree),),
+        lam.system.bounds + (-order,)))
+
+
+def assert_nef_normals_are_implied(cox, x_class, orders):
+    """The variable classes alone cut out the same truncated curve cone: every
+    nef class is effective, so it adds no inequality, and the walk gives the
+    same runs as with the nef generators."""
+    _, _, nef = mori_and_nef(cox)
+    degree = vec_sub(cox.anticanonical, tuple(x_class))
+    assert lambda_cone(cox, nef, degree).rays == lambda_cone(cox, (), degree).rays
+    for order in orders:
+        assert truncated_runs(cox, nef, degree, order) == truncated_runs(cox, (), degree, order)
+
+
+def test_quantum_cone_needs_no_nef_normals_on_the_paper():
+    _, cox = hex_cox()
+    assert_nef_normals_are_implied(cox, (2, 6, 6), range(0, 101, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(unimodular3(), st.integers(0, 24))
+def test_quantum_cone_needs_no_nef_normals_in_any_class_basis(U, order):
+    s, cox0 = hex_cox(fixture_basis=False)
+    _, _, eq = hypersurface_from_scaffolding(s, cox0)
+    cox = change_class_basis(cox0, mat_mul(U, cox0.weights))
+    assert_nef_normals_are_implied(cox, mat_vec(U, eq.class_vector(cox0.weights)), [order])
 
 
 def test_walls_factor_the_weights_once(monkeypatch):
