@@ -12,8 +12,10 @@ f^1 .. f^J, J = ceil(K/2), give every constant term through t^K, two powers
 held at a time.  Each power is a set of rows of packed fields:
 
 * Frame.  A unimodular change of exponents, which keeps the period, makes
-  the field axis x run along a primitive difference of two exponents, so
-  every power fills whole runs of fields, and along few lines.
+  the field axis x run along a primitive difference of two exponents with
+  the fewest lines along it, so every power fills whole runs of fields.  If
+  f's terms lie far apart along that axis, so that rows would hold mostly
+  zero fields, a zero axis goes in front instead and each row is one field.
 * Rows.  Each ParamPoly coefficient c(a) of x^e is flattened into its terms
   q * x^e * a^alpha, scaled to ints by the lcm D of every denominator
   (const(f^k) = const((D f)^k) / D^k).  A power maps a row key, the other
@@ -32,11 +34,14 @@ held at a time.  Each power is a set of rows of packed fields:
 * Pairing.  Each row is decoded once: a bias sets each field's top bit,
   flipping it back leaves the field in two's complement, and the bytes are
   read as 64-bit limbs.  Row r of f^a pairs with row -r of f^b reversed
-  through sum(map(mul, ...)), their parameter parts adding.
+  through sum(map(mul, ...)), their parameter parts adding, if their x
+  ranges can meet: the rows of a group are sorted by where they start.
 * Budget.  The work, rows x fields x w over the J powers, is at most J * w
-  times the terms f^J can have: the fewer of the monomials of degree <= J in
-  f's terms and the box of f^J's x-part times its parameter exponents, w
-  from J * bit_length(L); over MAX_FIELD_BITS it raises WorkBudgetExceeded.
+  times bounds on f^J, found before the first power: its rows (monomials
+  of degree J in f's row keys, or its parameter exponents times its lines)
+  and the fields of a row (J times the longest chord of Newt(f) along x,
+  plus 1), w from J * bit_length(L).  Over MAX_FIELD_BITS it raises
+  WorkBudgetExceeded.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -46,8 +51,9 @@ interior lattice point, and 0 at the origin.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul, neg
 from sys import byteorder
@@ -61,6 +67,9 @@ from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
 # Most field bits classical_period may hold, summed over the powers it builds:
 # at most 5.2 * 10^8 for the paper's f at order 100, so that runs.
 MAX_FIELD_BITS = 10**10
+# The fixed cost of a row in fields, when the frame is chosen: a row step and
+# a row pair take a few dict operations and calls next to the per-field work.
+ROW_FIELDS = 16
 
 
 class LaurentPolynomial(SparsePoly):
@@ -83,20 +92,28 @@ class LaurentPolynomial(SparsePoly):
         return self.terms.get((0,) * self.dim, Fraction(0))
 
     def specialize(self, assignments):
-        terms = {e: coeff_substitute(c, assignments) for e, c in self.terms.items()}
-        return LaurentPolynomial(self.dim, [p for p in self.params if p not in assignments], terms)
+        return LaurentPolynomial(
+            self.dim,
+            tuple(p for p in self.params if p not in assignments),
+            {e: coeff_substitute(c, assignments) for e, c in self.terms.items()},
+        )
 
     def monomial_substitution(self, g):
         """Exponent change x^e -> x^(g e) for a unimodular matrix g."""
         if not is_unimodular(g):
             raise ValueError("change of variables must be unimodular")
-        terms = {mat_vec(g, e): c for e, c in self.terms.items()}
-        return LaurentPolynomial(self.dim, self.params, terms)
+        return LaurentPolynomial(
+            self.dim, self.params, {mat_vec(g, e): c for e, c in self.terms.items()}
+        )
 
     def __str__(self):
-        return " + ".join(
-            f"({self.terms[e]})*" + ("*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k) or "1")
-            for e in sorted(self.terms, reverse=True)) or "0"
+        parts = []
+        for e in sorted(self.terms, reverse=True):
+            mono = "*".join(
+                f"x{i+1}^{k}" for i, k in enumerate(e) if k
+            ) or "1"
+            parts.append(f"({self.terms[e]})*{mono}")
+        return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
@@ -122,28 +139,79 @@ def _flat_terms(f):
             yield e + tuple(map(dict(zip(names, a)).get, f.params, repeat(0))), Fraction(q)
 
 
-def _row_frame(support, dim):
-    """{e: U e} over ``support``, U unimodular with U v = e_0 (U = 1 for v = e_0)
-    for the primitive difference v of two exponents (a hull edge in dimension
-    2) with the fewest lines along it through the support, told apart by n with
-    n(v) = 0, shorter v first.  Without such a v a zero axis goes in front."""
-    pts, cands = set(support), ()
-    if dim == 2 and len(pts) > 1:
-        hull = convex_hull(support)
-        cands = {max(v, tuple(map(neg, v))) for a, b in zip(hull, hull[1:] + hull[:1])
-                 if tuple(map(add, a, v := primitive(vec_sub(b, a)))) in pts}
-    big, best = 4 * max((abs(c) for s in pts for c in s), default=0) + 1, (len(pts) + 1, None)
-    for v in sorted(cands, key=lambda v: (sum(map(abs, v)), tuple(map(neg, v)))) or [
-            v for a, b in combinations(support, 2) if gcd(*(v := vec_sub(a, b))) == 1]:
+def _chord(hull):
+    """At least the longest segment of the polygon ``hull`` along the first
+    axis: the width is concave in the level, so it peaks at a vertex's, and
+    each vertex ends a slanted edge unless the polygon is a level segment."""
+    edges = [(a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a[1] != b[1]]
+    best = max(p[0] for p in hull) - min(p[0] for p in hull) if not edges else 0
+    for r in {p[1] for p in hull} if edges else ():
+        xs = [a[0] + q + k for a, b in edges if (a[1] - r) * (b[1] - r) <= 0
+              for q, m in (divmod((b[0] - a[0]) * (r - a[1]), b[1] - a[1]),) for k in (0, m > 0)]
+        best = max(best, max(xs) - min(xs))
+    return best
+
+
+def _row_frame(f, flat, half):
+    """(frame, rows, fields): frame = {e: U e} over the exponents of f, U
+    unimodular with U v = e_0 for a field axis v, or {e: (0,) + e} for a zero
+    axis, and upper bounds on the rows and on the fields per row of f^half.
+
+    v is the primitive difference of two exponents (a hull edge in dimension
+    2, else a unit vector or one of the eight shortest differences from the
+    least exponent) with the fewest lines along it through the support, told
+    apart by n with n(v) = 0, shorter v first; the candidates are few, so
+    this is linear in the support.  A zero axis replaces v when it costs less
+    work, rows x groups x (ROW_FIELDS + fields x width), a step multiplying
+    each row by each group of f and the fields of a row estimated as half
+    times the widest group.  Rows are at most the monomials of degree
+    ``half`` in f's row keys, and at most its parameter exponents times the
+    fewer of the monomials of degree ``half`` in f's lines and the box of
+    the rest coordinates.  A row of f^half lies in half * Newt(f), so it
+    spans at most half times the longest chord of Newt(f) along v (in
+    dimension 2; else along x), plus 1."""
+    support, dim = list(f.terms), f.dim
+    hull = convex_hull(support) if dim == 2 else ()
+    cands = {max(v, tuple(map(neg, v))) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
+             for v in (primitive(vec_sub(b, a)),)}
+    if dim != 2:
+        low = min(support)
+        cands = set(identity(dim)) | set(sorted(
+            (v for s in support if s != low and gcd(*(v := vec_sub(s, low))) == 1),
+            key=lambda v: (sum(map(abs, v)), v))[:8])
+    big = 4 * max((abs(c) for s in support for c in s), default=0) + 1
+
+    def lines(v):
         p = next(i for i, c in enumerate(v) if c)
         n = [v[p] * (big * max(map(abs, v))) ** i for i in range(dim)]
         n[p] -= sum(map(mul, v, n)) // v[p]
-        best = min(best, (len({sum(map(mul, s, n)) for s in pts}), v), key=lambda t: t[0])
-    if (v := best[1]) is None or v == identity(dim)[0]:
-        return {e: e if v else (0,) + e for e in support}
-    _, U, V = snf(transpose([v]))
-    U = [tuple(V[0][0] * c for c in U[0])] + list(U[1:])
-    return {e: tuple(sum(map(mul, r, e)) for r in U) for e in support}
+        return len({sum(map(mul, s, n)) for s in support}), sum(map(abs, v)), tuple(map(neg, v))
+
+    top = max((sum(e[dim:]) for e, _ in flat), default=0)
+    pbox = comb(half * top + len(f.params), half * top)
+
+    def rows(keys, nlines, exts):
+        return min(comb(half + keys - 1, half), pbox * min(
+            comb(half + nlines - 1, half), prod(half * x + 1 for x in exts)))
+    zero = rows(len(flat), len(support), [max(c) - min(c) for c in zip(*support)])
+    if not cands:
+        return {e: (0,) + e for e in support}, zero, 1
+    if (v := min(cands, key=lines)) == identity(dim)[0]:
+        U = identity(dim)
+    else:
+        _, U, V = snf(transpose([v]))
+        U = [tuple(V[0][0] * c for c in U[0])] + list(U[1:])
+    cols = [[sum(map(mul, r, e)) for e in support] for r in U]
+    img, groups = dict(zip(support, zip(*cols))), {}
+    for e, _ in flat:
+        groups.setdefault(img[e[:dim]][1:] + e[dim:], []).append(img[e[:dim]][0])
+    width = max(max(xs) - min(xs) for xs in groups.values())
+    n = rows(len(groups), lines(v)[0], [max(c) - min(c) for c in cols[1:]])
+    if zero * len(flat) * (ROW_FIELDS + 1) < n * len(groups) * (
+            ROW_FIELDS + (half * width + 1) * (width + 1)):
+        return {e: (0,) + e for e in support}, zero, 1
+    chord = _chord([img[e] for e in hull]) if hull else max(cols[0]) - min(cols[0])
+    return img, n, half * chord + 1
 
 
 def _row_step(power, groups, w, cut):
@@ -170,9 +238,12 @@ def _row_step(power, groups, w, cut):
 
 
 def _decoded(groups, w):
-    """{rest part: (L, [(parameter part, fields)])}: the rows of each group of
-    a power decoded, all in one pass, over the group's x range from L; the
-    unsigned lower limbs of a field go under its signed top limb by maps."""
+    """{rest part: (L, H, rows, by start, window)}: the rows of each group of a
+    power decoded, all in one pass, over the group's x range [L, H] as
+    (parameter part, lo, hi, fields), [lo, hi] the row's own range; the rows
+    again sorted by -hi, where they start reversed; and for more than one row
+    those starts and the longest hi - lo.  The unsigned lower limbs of a field
+    go under its signed top limb by maps."""
     m, spans, raw = w // 64, [], []
     for rp, rows in groups.items():
         low = min(lo for _, lo, _ in rows)
@@ -180,7 +251,7 @@ def _decoded(groups, w):
         bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
         raw += [(((row << w * (lo - low)) + bias) ^ bias).to_bytes(n * w // 8, "little")
                 for _, lo, row in rows]
-        spans.append((rp, low, n, [pa for pa, _, _ in rows]))
+        spans.append((rp, low, n, [(pa, lo, lo + row.bit_length() // w) for pa, lo, row in rows]))
     step = -1 if byteorder == "big" else 1  # reversed bytes read natively: the limbs reversed
     limbs = memoryview(b"".join(raw)[::step])
     fields, unsigned = limbs.cast("q")[::step], limbs.cast("Q")[::step]
@@ -190,7 +261,11 @@ def _decoded(groups, w):
             fields = map(add, map(mul, fields, repeat(1 << 64)), unsigned[t::m])
     fields, out, i = list(fields), {}, 0
     for rp, low, n, pas in spans:
-        out[rp] = low, [(pa, fields[i + t * n : i + t * n + n]) for t, pa in enumerate(pas)]
+        rows = [(pa, lo, hi, fields[i + t * n : i + t * n + n])
+                for t, (pa, lo, hi) in enumerate(pas)]
+        rev = sorted(rows, key=lambda r: -r[2]) if len(rows) > 1 else rows
+        many = len(rows) > 1 and ([-r[2] for r in rev], max(hi - lo for _, lo, hi in pas))
+        out[rp] = low, low + n - 1, rows, rev, many
         i += n * len(pas)
     return out
 
@@ -198,21 +273,25 @@ def _decoded(groups, w):
 def _paired(a, b, w):
     """{parameter part: sum over x of a row of a times a row of b at -x}, a and b
     as (rest part -> rows (parameter part, lo, row), rest part -> decoded group,
-    filled on first use).  Rows pair by opposite rest parts, once if a is b."""
+    filled on first use).  Groups pair by opposite rest parts, once if a is b,
+    and rows only if their x ranges can meet: each row of a takes the reversed
+    rows of b that start within the longest row of its start, and is padded
+    with zeros to line up with them."""
     for x, y in ((a, b), (b, a)):
         x[1].update(_decoded({r: rs for r, rs in x[0].items() if -r in y[0] and r not in x[1]}, w))
     sums = {}
-    for rp, (la, ra) in a[1].items():
+    for rp, (la, _, ra, _, _) in a[1].items():
         if (a is b and rp < 0) or -rp not in b[1]:
             continue
-        lb, rb = b[1][-rp]
-        hb, twice = lb + len(rb[0][1]) - 1, 1 + (a is b and rp != 0)
-        x0 = max(la, -hb)
-        partner = [(pb, fb[-1 - x0 - hb :: -1]) for pb, fb in rb if x0 + hb < len(fb)]
-        for pa, fa in ra:
-            fa = fa[x0 - la :] if x0 > la else fa
-            for pb, r in partner:
-                sums[pa + pb] = sums.get(pa + pb, 0) + twice * sum(map(mul, fa, r))
+        lb, hb, _, rb, many = b[1][-rp]
+        twice = 1 + (a is b and rp != 0)
+        for pa, lo, hi, fa in ra:  # fa[t] is the field at x = t - hb, as for each reversed row
+            if (s := max(lo, -hb)) <= (e := min(hi, -lb)):
+                fa = [0] * (hb + s) + fa[s - la : e - la + 1]
+                for pb, _, _, r in rb[bisect_left(many[0], lo - many[1]) : bisect_right(
+                        many[0], hi)] if many else rb:
+                    if d := sum(map(mul, fa, reversed(r))):
+                        sums[pa + pb] = sums.get(pa + pb, 0) + twice * d
     return sums
 
 
@@ -220,19 +299,19 @@ def classical_period(f, order):
     """Series of constant terms of f^k, k = 0..order, exact at every order,
     from f^1 .. f^ceil(order/2) as the module docstring says.  A zero constant
     term is Fraction(0).  Raises WorkBudgetExceeded over MAX_FIELD_BITS."""
-    frame = _row_frame(list(f.terms), f.dim)
-    flat = [(frame[e[: f.dim]] + e[f.dim :], q) for e, q in _flat_terms(f)]
-    dim, scale = len(next(iter(frame.values()), (0,))), lcm(*(q.denominator for _, q in flat))
-    flat, coeffs = [(e, int(q * scale)) for e, q in flat], [Fraction(1)]
+    flat, coeffs, half = list(_flat_terms(f)), [Fraction(1)], (order + 1) // 2
+    if not flat:
+        return PowerSeries(order, coeffs)
+    frame, max_rows, max_fields = _row_frame(f, flat, half)
+    flat = [(frame[e[: f.dim]] + e[f.dim :], q) for e, q in flat]
+    dim, scale = len(flat[0][0]) - len(f.params), lcm(*(q.denominator for _, q in flat))
+    flat = [(e, int(q * scale)) for e, q in flat]
     bounds = _support_bounds(list(frame.values()))
     if any(h < 0 for _, h, _ in bounds):
         return PowerSeries(order, coeffs)
-    half, top = (order + 1) // 2, max((sum(e[dim:]) for e, _ in flat), default=0)
     size = sum(abs(c) for _, c in flat)  # every |field| is at most size**half
     w = 64 * (half * size.bit_length() // 64 + 1)  # at least the exact w below
-    box = comb(half * top + len(f.params), len(f.params)) * prod(
-        half * (max(col) - min(col)) + 1 for col in zip(*frame.values()))
-    if (work := half * w * min(box, comb(half + len(flat), len(flat)))) > MAX_FIELD_BITS:
+    if (work := half * w * max_rows * max_fields) > MAX_FIELD_BITS:
         raise WorkBudgetExceeded(f"the classical period to order {order} would hold up to "
                                  f"{work} field bits, over the limit of {MAX_FIELD_BITS}")
     w = 64 * ((size**half).bit_length() // 64 + 1)  # exact, now that the budget bounds half
@@ -260,7 +339,7 @@ def classical_period(f, order):
     def view(power):
         by_rest = {}
         for k, (lo, row) in power.items():
-            by_rest.setdefault(rest_part(k), []).append((k - rest_part(k), lo, row))
+            by_rest.setdefault(rp := rest_part(k), []).append((k - rp, lo, row))
         return by_rest, {}
 
     def emit(sums, k):
@@ -290,17 +369,27 @@ def edge_binomial_skeleton(P, param_prefix="p"):
     get fresh parameters named <prefix>1, <prefix>2, ... in lexicographic
     point order, and the origin gets 0.
     """
-    interior = [p for p in lattice_points(P)
-                if p != (0, 0) and classify_lattice_point(P, p) == "interior"]
+    terms = {}
+    interior = []
+    for p in lattice_points(P):
+        kind = classify_lattice_point(P, p)
+        if kind == "interior" and p != (0, 0):
+            interior.append(p)
     params = tuple(f"{param_prefix}{i+1}" for i in range(len(interior)))
-    terms = {p: ParamPoly.variable(name, params) for p, name in zip(interior, params)}
-    terms.update((v, Fraction(1)) for v in P.vertices)
+    for i, p in enumerate(interior):
+        terms[p] = ParamPoly.variable(params[i], params)
+    for v in P.vertices:
+        terms[v] = Fraction(1)
     for u, v in P.edges():
-        l = gcd(v[0] - u[0], v[1] - u[1])
-        step = ((v[0] - u[0]) // l, (v[1] - u[1]) // l)
+        d = (v[0] - u[0], v[1] - u[1])
+        l = gcd(abs(d[0]), abs(d[1]))
+        step = (d[0] // l, d[1] // l)
         for j in range(1, l):
-            terms[u[0] + j * step[0], u[1] + j * step[1]] = Fraction(comb(l, j))
-    return LaurentPolynomial(2, params, terms), dict(zip(interior, params))
+            pt = (u[0] + j * step[0], u[1] + j * step[1])
+            terms[pt] = Fraction(comb(l, j))
+    return LaurentPolynomial(2, params, terms), {
+        p: params[i] for i, p in enumerate(interior)
+    }
 
 
 def laurent_from_json(data):
@@ -311,7 +400,8 @@ def laurent_from_json(data):
     for i, p in enumerate(params):
         if p in params[:i]:
             raise SchemaError(f"repeated parameter {p!r}")
-    terms, dim = {}, None
+    terms = {}
+    dim = None
     for item in json_list(data["terms"], "terms"):
         if not isinstance(item, dict) or "exp" not in item or "coeff" not in item:
             raise SchemaError("each term needs 'exp' and 'coeff'")
@@ -331,5 +421,7 @@ def laurent_from_json(data):
 
 
 def laurent_to_json(f):
-    terms = [{"exp": list(e), "coeff": str(f.terms[e])} for e in sorted(f.terms, reverse=True)]
-    return {"params": list(f.params), "terms": terms}
+    out = []
+    for e in sorted(f.terms, reverse=True):
+        out.append({"exp": list(e), "coeff": str(f.terms[e])})
+    return {"params": list(f.params), "terms": out}

@@ -56,6 +56,10 @@ class ConeV:
     rays: tuple
     lineality: tuple = field(default=())
 
+    @property
+    def is_pointed(self):
+        return not self.lineality
+
 
 def halfspaces(dim, normals, bounds=None):
     normals = tuple(tuple(n) for n in normals)

@@ -40,6 +40,23 @@ class WallCurve:
     curve_class: tuple
 
 
+def _wall_faces(cox):
+    """(face, its maximal cones) for the (dim - 1)-faces of the maximal cones,
+    in face order; raises NonSimplicial unless each lies in exactly two, as
+    in a complete fan."""
+    faces = {}
+    for ci, cone in enumerate(cox.max_cones):
+        for face in combinations(sorted(cone), len(cox.rays[0]) - 1):
+            faces.setdefault(face, []).append(ci)
+    out = sorted(faces.items())
+    for face, incident in out:
+        if len(incident) != 2:
+            raise NonSimplicial(
+                f"wall {face} lies in {len(incident)} maximal cones; fan not complete"
+            )
+    return out
+
+
 def walls(cox):
     """All wall curves of a complete simplicial fan.
 
@@ -47,18 +64,9 @@ def walls(cox):
     its sign is fixed by positivity on the two cone-completing rays, and the
     curve class solves W^T l = relation.
     """
-    dim = len(cox.rays[0])
     curve_class = integer_solver(transpose(cox.weights))
-    faces = {}
-    for ci, cone in enumerate(cox.max_cones):
-        for face in combinations(sorted(cone), dim - 1):
-            faces.setdefault(face, []).append(ci)
     out = []
-    for face, incident in sorted(faces.items()):
-        if len(incident) != 2:
-            raise NonSimplicial(
-                f"wall {face} lies in {len(incident)} maximal cones; fan not complete"
-            )
+    for face, incident in _wall_faces(cox):
         k = next(iter(set(cox.max_cones[incident[0]]) - set(face)))
         l = next(iter(set(cox.max_cones[incident[1]]) - set(face)))
         involved = (k,) + face + (l,)
@@ -96,6 +104,9 @@ class CurveClassCone:
     system: HalfspaceSystem
     degree: tuple
     rays: tuple
+
+    def contains(self, l):
+        return self.system.contains(tuple(l))
 
 
 def lambda_cone(cox, nef_rays, degree):
@@ -135,12 +146,14 @@ def quantum_period(cox, hypersurface_class, order):
     """Factorial sum over {l : <w_i, l> >= 0}, truncated at the given degree.
 
     The cone is built from the variable classes alone; the module docstring
-    says why the nef normals add nothing.  Returns the period and its
-    regularization (coefficients scaled by d!).  Raises WorkBudgetExceeded
-    when _box_points is over MAX_BOX_POINTS.
+    says why the nef normals add nothing on a complete fan, and NonSimplicial
+    is raised for a fan with a wall in other than two maximal cones.  Returns
+    the period and its regularization (coefficients scaled by d!).  Raises
+    WorkBudgetExceeded when _box_points is over MAX_BOX_POINTS.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    _wall_faces(cox)
     x_class = tuple(int(c) for c in hypersurface_class)
     degree = vec_sub(cox.anticanonical, x_class)
     lam = lambda_cone(cox, (), degree)

@@ -120,6 +120,9 @@ class ParamPoly(SparsePoly):
 
     # -- predicates ---------------------------------------------------------
 
+    def is_zero(self):
+        return not self.terms
+
     def is_constant(self):
         return all(all(k == 0 for k in e) for e in self.terms)
 

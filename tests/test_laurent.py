@@ -291,7 +291,8 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
         built.append(args)
         plain_init(self, *args)
 
-    assert fanokit.laurent._row_frame(list(f.terms), 2) == {e: e for e in f.terms}
+    assert fanokit.laurent._row_frame(f, list(_flat_terms(f)), (order + 1) // 2)[0] == {
+        e: e for e in f.terms}
     expected = dict_kernel_period(f, order)
     monkeypatch.setattr("fanokit.laurent._row_step", counting_step)
     monkeypatch.setattr(ParamPoly, "__init__", counting_init)
@@ -441,6 +442,70 @@ def test_classical_period_work_budget():
     assert classical_period(f, 100)[100] == int(
         "7282190224592979637447594016514932781719947136035085708740704128850012904548870"
         "75395762868752844232585536")
+
+
+def test_classical_period_on_sparse_gapped_supports():
+    """Supports with long gaps along every axis: a field axis would hold about
+    2jN zero fields per row of f^j, so the frame puts a zero axis in front,
+    every row holds one term, and the period comes out at once."""
+    N = 10**6
+    cases = [
+        (laurent(1, {(-N,): 1, (N,): 1, (N + 1,): 1}), 20),
+        (laurent(2, {(-N, 0): 1, (N, 0): 1, (0, 1): 2, (0, -1): Fraction(1, 3), (N, N): 1}), 16),
+    ]
+    for f, order in cases:
+        start = time.perf_counter()
+        got = classical_period(f, order)
+        assert time.perf_counter() - start < 1.0
+        assert got == dict_kernel_period(f, order)
+
+
+def test_classical_work_budget_on_a_large_3d_support():
+    """The frame is chosen from a bounded set of axes, in time linear in the
+    support, so a large support is refused at once and runs at low orders."""
+    f = LaurentPolynomial(3, (), {
+        (i, i * i % 7 - 3, i**3 % 11 - 5): Fraction(1) for i in range(-500, 500)})
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetExceeded):
+        classical_period(f, 10**9)
+    assert time.perf_counter() - start < 1.0
+    assert classical_period(f, 2) == dict_kernel_period(f, 2)
+
+
+@st.composite
+def sparse_laurent(draw):
+    """A 1-3 dimensional f on a few exponents spread over [-40, 40], some
+    coefficients linear in one parameter."""
+    dim = draw(st.integers(1, 3))
+    params = ("s",)[: draw(st.integers(0, 1))]
+    coeffs = RATIONALS.filter(bool)
+    if params:
+        coeffs = st.one_of(coeffs, coeffs.map(lambda q: q * ParamPoly.variable("s", params)))
+    exps = st.tuples(*[st.integers(-40, 40)] * dim)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+    return LaurentPolynomial(dim, params, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=sparse_laurent(), order=st.integers(0, 8))
+def test_classical_period_work_estimate_bounds_the_rows_held(f, order):
+    """Every power the kernel builds holds at most the rows, and each row at
+    most the fields, that the work budget was estimated from."""
+    half = (order + 1) // 2
+    _, rows, fields = fanokit.laurent._row_frame(f, list(_flat_terms(f)), half)
+    held, plain_step = [], fanokit.laurent._row_step
+
+    def counting_step(power, groups, w, cut):
+        out = plain_step(power, groups, w, cut)
+        widest = max((len(row_fields(row, w)) for _, row in out.values()), default=0)
+        held.append((len(out), widest))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fanokit.laurent._row_step", counting_step)
+        got = classical_period(f, order)
+    assert got == dict_kernel_period(f, order)
+    assert all(n <= rows and m <= fields for n, m in held)
 
 
 def test_laurent_basics():

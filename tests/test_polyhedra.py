@@ -20,7 +20,7 @@ from fanokit.polyhedra import (
 def test_dual_cone_plane_example():
     cone = dual_cone(halfspaces(2, [(1, 1), (1, -1)]))
     assert cone.rays == ((1, -1), (1, 1))
-    assert not cone.lineality
+    assert cone.is_pointed
 
 
 def test_dual_cone_octant():
@@ -30,7 +30,7 @@ def test_dual_cone_octant():
 
 def test_dual_cone_lineality_flagged():
     cone = dual_cone(halfspaces(3, [(1, 0, 0), (0, 1, 0)]))
-    assert cone.lineality
+    assert not cone.is_pointed
     assert cone.rays == ()
     assert len(cone.lineality) == 1
     for v in cone.lineality:
@@ -41,7 +41,7 @@ def test_dual_cone_lineality_flagged():
 
 def test_dual_cone_zero_cone():
     cone = dual_cone(halfspaces(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]))
-    assert cone.rays == () and not cone.lineality
+    assert cone.rays == () and cone.is_pointed
 
 
 def test_dual_cone_dim_4():
@@ -53,7 +53,7 @@ def test_dual_cone_dim_4():
     assert all(dot(f, r) >= 0 for f in facets for r in rays)
     assert set(dual_cone(halfspaces(4, list(facets))).rays) == set(rays)
     cone = dual_cone(halfspaces(4, unit[:3] + [(1, 1, 1, 0)]))
-    assert cone.lineality and cone.rays == ()
+    assert not cone.is_pointed and cone.rays == ()
     assert cone.lineality in (((0, 0, 0, 1),), ((0, 0, 0, -1),))
     simplex = halfspaces(4, unit + [(-1, -1, -1, -1)], [0, 0, 0, 0, -2])
     assert vertices(simplex) == sorted([(0,) * 4] + [tuple(2 * a for a in e) for e in unit])

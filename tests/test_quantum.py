@@ -105,6 +105,17 @@ def test_walls_incomplete_fan():
         walls(open_fan)
 
 
+def test_quantum_period_rejects_an_incomplete_fan():
+    """The period sums over {l : <w_i, l> >= 0}, which is the curve cone only on
+    a complete fan; without one maximal cone the fan is not complete."""
+    _, cox = hex_cox()
+    x_class = (2, 6, 6)
+    quantum_period(cox, x_class, 2)
+    open_fan = CoxPresentation(cox.names, cox.rays, cox.max_cones[1:], cox.weights)
+    with pytest.raises(NonSimplicial, match="not complete"):
+        quantum_period(open_fan, x_class, 2)
+
+
 def test_mori_and_nef_hexagon():
     _, cox = hex_cox()
     ws, mori, nef = mori_and_nef(cox)
@@ -153,8 +164,8 @@ def test_lambda_cone_hexagon():
         ),
     )
     assert set(dual_cone(explicit).rays) == set(lam.rays)
-    assert lam.system.contains((-4, 1, 1))
-    assert not lam.system.contains((-1, 0, 0))
+    assert lam.contains((-4, 1, 1))
+    assert not lam.contains((-1, 0, 0))
 
     trunc = HalfspaceSystem(
         3,

@@ -59,7 +59,7 @@ def square_scaffolding():
 
 def test_shape_variety_basics():
     z = ShapeVariety((1,))
-    assert z.nbar_rank == 1 and z.divisor_count == 2 and len(z.dims) == 1
+    assert z.nbar_rank == 1 and z.divisor_count == 2 and z.picard_rank == 1
     assert z.ray_map() == ((1,), (-1,))
     assert z.degrees((1, 1)) == (2,)
     assert sorted(z.moment_vertices((1, 1))) == [(-1,), (1,)]

@@ -19,7 +19,7 @@ S2 = ParamPoly.variable("s2", PARAMS)
 
 def test_parampoly_arithmetic():
     assert (S1 + S2) ** 2 == S1 * S1 + 2 * S1 * S2 + S2 * S2
-    assert not (S1 - S1).terms
+    assert (S1 - S1).is_zero()
     assert 3 * S1 - S1 == 2 * S1
     assert ParamPoly.constant(Fraction(2, 3)) == Fraction(2, 3)
     assert S1 * 0 == 0
@@ -124,7 +124,7 @@ def test_powerseries_basics():
     b = PowerSeries(3, [1])
     assert (a + b).order == 3
     assert (a * b).order == 3
-    assert all(c == 0 for c in (a - a).coeffs[:5])
+    assert (a - a).valuation_at_least(5)
 
 
 def test_powerseries_shift():
