@@ -274,7 +274,7 @@ def main(argv=None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            print(f"error: cannot write output file: {e}", file=sys.stderr)
+            print(f"error: {type(e).__name__}: cannot write output file: {e}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -59,7 +59,7 @@ from operator import add, mul, neg
 from sys import byteorder
 
 from .errors import SchemaError, WorkBudgetExceeded, json_ints, json_list
-from .linalg import identity, is_unimodular, mat_vec, primitive, snf, transpose, vec_sub
+from .linalg import det, identity, is_unimodular, mat_vec, primitive, snf, transpose, vec_sub
 from .polygon import classify_lattice_point, convex_hull, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
@@ -118,11 +118,11 @@ class LaurentPolynomial(SparsePoly):
     __repr__ = __str__
 
 
-def _support_bounds(support):
+def _support_bounds(support, hull):
     """(l, max of l, min of l) over ``support`` for each pruning functional l: the
-    hull's edge normals in dimension 2, else or for a flat hull the +-unit vectors."""
+    edge normals of ``hull``, its counterclockwise hull or (), else or for a
+    flat hull the +-unit vectors."""
     dim = len(support[0]) if support else 0
-    hull = convex_hull(support) if dim == 2 else ()
     ls = [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1])]
     if len(hull) < 3 and support:
         ls += [tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1)]
@@ -153,9 +153,11 @@ def _chord(hull):
 
 
 def _row_frame(f, flat, half):
-    """(frame, rows, fields): frame = {e: U e} over the exponents of f, U
+    """(frame, rows, fields, hull): frame = {e: U e} over the exponents of f, U
     unimodular with U v = e_0 for a field axis v, or {e: (0,) + e} for a zero
-    axis, and upper bounds on the rows and on the fields per row of f^half.
+    axis, upper bounds on the rows and on the fields per row of f^half, and in
+    dimension 2 with a field axis the convex hull of the framed support (the
+    image of f's under U, counterclockwise from its least point), else ().
 
     v is the primitive difference of two exponents (a hull edge in dimension
     2, else a unit vector or one of the eight shortest differences from the
@@ -195,7 +197,7 @@ def _row_frame(f, flat, half):
             comb(half + nlines - 1, half), prod(half * x + 1 for x in exts)))
     zero = rows(len(flat), len(support), [max(c) - min(c) for c in zip(*support)])
     if not cands:
-        return {e: (0,) + e for e in support}, zero, 1
+        return {e: (0,) + e for e in support}, zero, 1, ()
     if (v := min(cands, key=lines)) == identity(dim)[0]:
         U = identity(dim)
     else:
@@ -209,9 +211,12 @@ def _row_frame(f, flat, half):
     n = rows(len(groups), lines(v)[0], [max(c) - min(c) for c in cols[1:]])
     if zero * len(flat) * (ROW_FIELDS + 1) < n * len(groups) * (
             ROW_FIELDS + (half * width + 1) * (width + 1)):
-        return {e: (0,) + e for e in support}, zero, 1
-    chord = _chord([img[e] for e in hull]) if hull else max(cols[0]) - min(cols[0])
-    return img, n, half * chord + 1
+        return {e: (0,) + e for e in support}, zero, 1, ()
+    if hull:  # its image under U, kept counterclockwise from the least point
+        hull = [img[e] for e in hull][:: 1 if len(hull) < 3 or det(U) > 0 else -1]
+        hull = tuple(hull[(i := hull.index(min(hull))) :] + hull[:i])
+    chord = _chord(hull) if hull else max(cols[0]) - min(cols[0])
+    return img, n, half * chord + 1, hull
 
 
 def _row_step(power, groups, w, cut):
@@ -302,11 +307,11 @@ def classical_period(f, order):
     flat, coeffs, half = list(_flat_terms(f)), [Fraction(1)], (order + 1) // 2
     if not flat:
         return PowerSeries(order, coeffs)
-    frame, max_rows, max_fields = _row_frame(f, flat, half)
+    frame, max_rows, max_fields, hull = _row_frame(f, flat, half)
     flat = [(frame[e[: f.dim]] + e[f.dim :], q) for e, q in flat]
     dim, scale = len(flat[0][0]) - len(f.params), lcm(*(q.denominator for _, q in flat))
     flat = [(e, int(q * scale)) for e, q in flat]
-    bounds = _support_bounds(list(frame.values()))
+    bounds = _support_bounds(list(frame.values()), hull)
     if any(h < 0 for _, h, _ in bounds):
         return PowerSeries(order, coeffs)
     size = sum(abs(c) for _, c in flat)  # every |field| is at most size**half
@@ -398,6 +403,8 @@ def laurent_from_json(data):
         raise SchemaError("laurent JSON needs a 'terms' list")
     params = tuple(json_list(data.get("params", []), "params"))
     for i, p in enumerate(params):
+        if not isinstance(p, str):
+            raise SchemaError(f"parameter names must be strings, got {p!r}")
         if p in params[:i]:
             raise SchemaError(f"repeated parameter {p!r}")
     terms = {}

@@ -99,21 +99,24 @@ def dual_cone(hs):
     return ConeV(hs.dim, tuple(rays))
 
 
-def vertices(hs):
-    """All vertices of the (bounded) region, sorted, as Fraction tuples.
-
-    With b_i = p_i / q_i, the vertices are the extreme rays (x, t) with t > 0
-    of the homogenized cone {(x, t) : q_i <n_i, x> >= p_i t, t >= 0}, scaled
-    to t = 1.  Its face t = 0 is the recession cone, so a lineality space or
-    a ray with t = 0 raises Unbounded.  An empty region gives [].
-    """
-    rows = [(0,) * hs.dim + (1,)]
-    for n, b in zip(hs.normals, map(Fraction, hs.bounds)):
-        rows.append(tuple(b.denominator * a for a in n) + (-b.numerator,))
-    cone = dual_cone(halfspaces(hs.dim + 1, rows))
+def homogenized_cone(hs):
+    """(rows, rays): rows[i] = (q_i n_i, -p_i) for b_i = p_i / q_i, and the sorted
+    primitive extreme rays (x, t) of {(x, t) : rows[i] . (x, t) >= 0, t >= 0},
+    one per vertex x / t, where inequality i is tight when rows[i] . (x, t) = 0.
+    The face t = 0 is the recession cone: a lineality space or a ray on it
+    raises Unbounded.  An empty region has no rays."""
+    rows = [tuple(b.denominator * a for a in n) + (-b.numerator,)
+            for n, b in zip(hs.normals, hs.bounds)]
+    cone = dual_cone(halfspaces(hs.dim + 1, [(0,) * hs.dim + (1,)] + rows))
     if cone.lineality or any(r[-1] == 0 for r in cone.rays):
         raise Unbounded("region has a nontrivial recession cone")
-    return sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in cone.rays)
+    return rows, cone.rays
+
+
+def vertices(hs):
+    """All vertices of the (bounded) region, sorted, as Fraction tuples: the
+    rays of homogenized_cone scaled to t = 1.  An empty region gives []."""
+    return sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in homogenized_cone(hs)[1])
 
 
 def integer_point_runs(hs):

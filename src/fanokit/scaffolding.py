@@ -5,19 +5,20 @@ moment polytopes of nef divisors on a shape variety Z (a product of
 projective spaces).  build_qs turns a scaffolding into a halfspace system
 whose normal fan carries the ambient toric variety of the construction;
 normal_fan keeps facet normals in input-inequality order so strut labels
-transfer to ray/variable names.
+transfer to ray/variable names.  The facets are the inequalities whose sets
+of tight vertices, read off the integer rays of the homogenized cone, are
+nonempty and maximal (Ziegler, Lectures on Polytopes, 2.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 
 from .errors import NonSimplicial, SchemaError, json_int, json_ints, json_list
 from .linalg import det, dot, primitive, rank
 from .polygon import convex_hull, validate_fano
-from .polyhedra import halfspaces, vertices
+from .polyhedra import halfspaces, homogenized_cone
 
 
 @dataclass(frozen=True)
@@ -212,46 +213,30 @@ class NormalFan:
     facet_rows: tuple
 
 
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = []
-    for p in points[1:]:
-        diff = [a - b for a, b in zip(p, base)]
-        den = lcm(*(c.denominator for c in diff)) if diff else 1
-        rows.append(tuple(int(c * den) for c in diff))
-    return rank(rows)
-
-
 def normal_fan(hs):
-    """Normal fan of a bounded full-dimensional polytope; simplicial or error."""
-    verts = [tuple(v) for v in vertices(hs)]
+    """Normal fan of a bounded full-dimensional polytope; simplicial or error.
+
+    Every face lies in a facet and every facet is cut out by an inequality,
+    so the facet rows are those whose nonempty sets of tight vertices are maximal."""
+    rows, verts = homogenized_cone(hs)
     if not verts:
         raise SchemaError("polytope is empty")
-    if _affine_rank(verts) < hs.dim:
+    if rank(verts) <= hs.dim:
         raise NonSimplicial("polytope is not full-dimensional")
-    tight = [
-        {i for i, (n, b) in enumerate(zip(hs.normals, hs.bounds)) if dot(n, v) == b}
-        for v in verts
-    ]
-    facet_rows = [
-        i
-        for i in range(len(hs.normals))
-        if _affine_rank([v for v, t in zip(verts, tight) if i in t]) == hs.dim - 1
-    ]
+    tight = [frozenset(k for k, r in enumerate(verts) if dot(row, r) == 0) for row in rows]
+    facet_rows = [i for i, t in enumerate(tight) if t and not any(t < u for u in tight)]
     rays = [primitive(hs.normals[i]) for i in facet_rows]
     if len(set(rays)) != len(rays):
         raise NonSimplicial("two inequalities define the same facet")
     cones = set()
-    for v, t in zip(verts, tight):
-        tf = tuple(k for k, i in enumerate(facet_rows) if i in t)
+    for k, r in enumerate(verts):
+        tf = tuple(j for j, i in enumerate(facet_rows) if k in tight[i])
         if len(tf) != hs.dim:
             raise NonSimplicial(
-                f"vertex {v} lies on {len(tf)} facets in dimension {hs.dim}"
+                f"vertex {r[:-1]}/{r[-1]} lies on {len(tf)} facets in dimension {hs.dim}"
             )
-        if det([rays[k] for k in tf]) == 0:
-            raise NonSimplicial(f"facet normals at vertex {v} are dependent")
+        if det([rays[j] for j in tf]) == 0:
+            raise NonSimplicial(f"facet normals at vertex {r[:-1]}/{r[-1]} are dependent")
         cones.add(tf)
     return NormalFan(tuple(rays), tuple(sorted(cones)), tuple(facet_rows))
 

@@ -1,14 +1,21 @@
+import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+PAPER_F_PARAMS = ["a1", "a2", "b1", "b2", "c1", "c2"]
 
 FIXTURE_W = [[0, 0, 1, 1, 1, 1], [0, 1, 3, 1, 0, 6], [1, 0, 1, 3, 6, 0]]
 
@@ -172,6 +179,17 @@ def test_polygon_invalid_input(capsys, tmp_path):
             ["a1", "a2", "b1", "b2", "c1", "c2", "d", "d"],
             ["periods", "classical", "--symbolic", "--order", "2"],
         ),
+        *(
+            ("paper-f", ("params",), [*PAPER_F_PARAMS, name],
+             ["periods", "classical", "--symbolic", "--order", "2"])
+            for name in ({}, [1], 1, None, True)
+        ),
+        (
+            "paper",
+            ("laurent", "params"),
+            [*PAPER_F_PARAMS, {}],
+            ["periods", "compare", "--order", "2", "--assign", "a1=2"],
+        ),
         (None, None, b"\xff", ["polygon"]),
         (None, None, b"[" * 100000, ["polygon"]),
     ],
@@ -180,6 +198,8 @@ def test_polygon_invalid_input(capsys, tmp_path):
         "divisor-string", "fiber_check-int", "strut-all-zero", "coeff-unknown-name",
         "coeff-div-zero", "exp-string", "assign-div-zero", "file-assign-div-zero",
         "terms-int", "laurent-wrong-rank", "exp-repeated", "param-repeated",
+        "param-object", "param-list", "param-int", "param-null", "param-bool",
+        "file-param-object-assign",
         "invalid-utf8", "deep-nesting",
     ],
 )
@@ -205,6 +225,16 @@ def test_malformed_json_is_a_schema_error(capsys, tmp_path, fixture, path, value
     assert out == ""
     assert err.startswith("error: SchemaError: ")
     assert err.count("\n") == 1
+
+
+def test_unwritable_out_file(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "polygon", "--fixture", "paper-P", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: cannot write output file: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_class_rank_four(capsys, tmp_path):
@@ -676,3 +706,73 @@ def test_classical_work_budget_exits_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1
+
+
+FUZZ_RUNS = [
+    ("paper-P", ["polygon"]),
+    ("paper-scaffolding", ["scaffold", "--check-hull"]),
+    ("paper-f", ["periods", "classical", "--symbolic"]),
+    ("paper-f", ["periods", "classical", "--assign", "a1=1/2", "--assign", "b2=3"]),
+    ("paper", ["periods", "compare"]),
+    ("paper", ["periods", "quantum"]),
+    ("paper-series", ["periods", "quantum"]),
+]
+
+SMALL_JSON = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["", "x", "a1", "z1", "1/2", "1/0", "-1"]),
+    st.none(),
+    st.floats(-3, 3),
+    st.booleans(),
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["a1", "x"]), st.none(), st.just({})),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["name", "exp", "coeff", "a1"]), st.integers(-3, 3),
+                    max_size=2),
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """(mutated JSON, argv): a walk from the root of a fixture, one random
+    child at a time, stops at a random depth; the value there is replaced by
+    a small JSON value or dropped, or the last list element on the way is
+    duplicated."""
+    fixture, argv = draw(st.sampled_from(FUZZ_RUNS))
+    fixtures = resources.files("fanokit").joinpath("fixtures")
+    data = json.loads(fixtures.joinpath(f"{fixture}.json").read_text())
+    how = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+    steps, node = [], data  # (container, key) from the root down
+    while isinstance(node, (dict, list)) and node and (
+            (not steps and how != "replace") or draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        steps.append((node, key))
+        node = node[key]
+    if not steps:  # only a replacement stops at the root
+        return draw(SMALL_JSON), argv
+    container, key = steps[-1]
+    if how == "replace":
+        container[key] = draw(SMALL_JSON)
+    elif how == "drop":
+        del container[key]
+    elif lists := [(c, k) for c, k in steps if isinstance(c, list)]:
+        container, key = lists[-1]
+        container.insert(key, container[key])
+    return data, argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=mutated_fixtures(), order=st.integers(0, 6))
+def test_mutated_fixtures_exit_with_one_line(case, order):
+    """A fixture with one value replaced, dropped or duplicated gives a result
+    (exit 0 or 4) or a one-line error (exit 2 or 3), never an internal error."""
+    data, argv = case
+    if argv[0] == "periods":
+        argv = argv + ["--order", str(order)]
+    with tempfile.TemporaryDirectory() as tmp:
+        infile = Path(tmp) / "in.json"
+        infile.write_text(json.dumps(data))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, "--in", str(infile)])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1

@@ -380,11 +380,24 @@ UNIMODULAR_GENERATORS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), (
 )
 def test_classical_period_is_invariant_under_unimodular_substitution(terms, gens, order):
     """GL2(Z) acts on exponents: the packed exponents of f and of f after
-    x^e -> x^(g e) differ in size and sign, the period does not."""
+    x^e -> x^(g e) differ in size and sign, the period does not.  The frame
+    maps the hull of the support through U, kept counterclockwise from its
+    least point, so it is the hull of a framed support in dimension 2 and
+    gives the pruning functionals that a second hull would: a period takes
+    one hull."""
     g = reduce(mat_mul, gens, ((1, 0), (0, 1)))
     f = LaurentPolynomial(2, (), terms)
-    assert classical_period(f.monomial_substitution(g), order) == classical_period(f, order)
-    assert classical_period(f.monomial_substitution(g), order) == dict_kernel_period(f, order)
+    fg = f.monomial_substitution(g)
+    if fg.terms:
+        frame, _, _, hull = fanokit.laurent._row_frame(fg, list(_flat_terms(fg)), (order + 1) // 2)
+        framed = list(frame.values())
+        assert hull == (convex_hull(framed) if len(framed[0]) == 2 else ())
+    hulls, plain_hull = [], fanokit.laurent.convex_hull
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fanokit.laurent.convex_hull", lambda p: hulls.append(1) or plain_hull(p))
+        got = classical_period(fg, order)
+    assert len(hulls) <= 1
+    assert got == classical_period(f, order) == dict_kernel_period(f, order)
 
 
 def summed(*polys):
@@ -492,7 +505,7 @@ def test_classical_period_work_estimate_bounds_the_rows_held(f, order):
     """Every power the kernel builds holds at most the rows, and each row at
     most the fields, that the work budget was estimated from."""
     half = (order + 1) // 2
-    _, rows, fields = fanokit.laurent._row_frame(f, list(_flat_terms(f)), half)
+    _, rows, fields, _ = fanokit.laurent._row_frame(f, list(_flat_terms(f)), half)
     held, plain_step = [], fanokit.laurent._row_step
 
     def counting_step(power, groups, w, cut):

@@ -1,8 +1,17 @@
-import pytest
+import json
+from importlib import resources
+from math import lcm
 
-from fanokit.errors import NonSimplicial, SchemaError, Unbounded
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fanokit.linalg
+from fanokit.errors import FanokitError, NonSimplicial, SchemaError, Unbounded
+from fanokit.linalg import det, dot, primitive, rank
 from fanokit.polyhedra import halfspaces, vertices
 from fanokit.scaffolding import (
+    NormalFan,
     Scaffolding,
     ShapeVariety,
     Strut,
@@ -34,6 +43,56 @@ CONES = (
     (1, 3, 5),
     (1, 4, 5),
 )
+
+
+def _affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    rows = []
+    for p in points[1:]:
+        diff = [a - b for a, b in zip(p, base)]
+        den = lcm(*(c.denominator for c in diff)) if diff else 1
+        rows.append(tuple(int(c * den) for c in diff))
+    return rank(rows)
+
+
+def affine_rank_normal_fan(hs):
+    """Reference normal fan: Fraction vertices, and a facet wherever the
+    vertices tight at an inequality have affine rank dim - 1."""
+    verts = [tuple(v) for v in vertices(hs)]
+    if not verts:
+        raise SchemaError("polytope is empty")
+    if _affine_rank(verts) < hs.dim:
+        raise NonSimplicial("polytope is not full-dimensional")
+    tight = [
+        {i for i, (n, b) in enumerate(zip(hs.normals, hs.bounds)) if dot(n, v) == b}
+        for v in verts
+    ]
+    facet_rows = [
+        i
+        for i in range(len(hs.normals))
+        if _affine_rank([v for v, t in zip(verts, tight) if i in t]) == hs.dim - 1
+    ]
+    rays = [primitive(hs.normals[i]) for i in facet_rows]
+    if len(set(rays)) != len(rays):
+        raise NonSimplicial("two inequalities define the same facet")
+    cones = set()
+    for v, t in zip(verts, tight):
+        tf = tuple(k for k, i in enumerate(facet_rows) if i in t)
+        if len(tf) != hs.dim:
+            raise NonSimplicial(f"vertex {v} lies on {len(tf)} facets")
+        if det([rays[k] for k in tf]) == 0:
+            raise NonSimplicial(f"facet normals at vertex {v} are dependent")
+        cones.add(tf)
+    return NormalFan(tuple(rays), tuple(sorted(cones)), tuple(facet_rows))
+
+
+def fan_or_error(fn, hs):
+    try:
+        return fn(hs)
+    except FanokitError as e:
+        return type(e)
 
 
 def hex_scaffolding(target=HEX):
@@ -131,6 +190,14 @@ def test_normal_fan_hexagon():
     assert fan.facet_rows == (0, 1, 2, 3, 4, 5)
 
 
+def test_normal_fan_takes_two_smith_forms(monkeypatch):
+    """One for the dual cone's lineality, one for full dimension."""
+    calls, plain_snf = [], fanokit.linalg.snf
+    monkeypatch.setattr("fanokit.linalg.snf", lambda M: calls.append(1) or plain_snf(M))
+    assert normal_fan(build_qs(hex_scaffolding())).rays == QS_NORMALS
+    assert len(calls) == 2
+
+
 def test_normal_fan_cube():
     cube = halfspaces(
         3,
@@ -170,6 +237,48 @@ def test_redundant_inequality_dropped():
     fan = normal_fan(square)
     assert fan.facet_rows == (0, 1, 2, 3)
     assert len(fan.max_cones) == 4
+    # a facet of a segment is one vertex, of affine rank 0 like no vertex at all
+    segment = halfspaces(1, [(1,), (-1,), (1,)], [-1, -1, -5])
+    fan = normal_fan(segment)
+    assert fan.facet_rows == (0, 1)
+    assert fan.max_cones == ((0,), (1,))
+
+
+@st.composite
+def bounded_systems(draw):
+    """A box plus up to four inequalities with small normals and bounds (some
+    redundant, tight at vertices of the box, or cutting it empty or flat),
+    in shuffled order."""
+    dim = draw(st.integers(2, 4))
+    rows = []
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        rows.append((e, -draw(st.integers(0, 2))))
+        rows.append((tuple(-a for a in e), -draw(st.integers(0, 2))))
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+        b = draw(st.fractions(-4, 2, max_denominator=2))
+        rows.append((tuple(n), b))
+    rows = draw(st.permutations(rows))
+    return halfspaces(dim, [n for n, _ in rows], [b for _, b in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs=bounded_systems())
+def test_normal_fan_matches_the_affine_rank_reference(hs):
+    """The maximal tight sets of the integer rays give the same fan, or the
+    same exception type, as the affine ranks of the Fraction vertices."""
+    assert fan_or_error(normal_fan, hs) == fan_or_error(affine_rank_normal_fan, hs)
+
+
+def test_normal_fan_of_every_fixture_matches_the_reference():
+    fixtures = resources.files("fanokit").joinpath("fixtures")
+    paper = json.loads(fixtures.joinpath("paper.json").read_text())["scaffolding"]
+    scaffolding = json.loads(fixtures.joinpath("paper-scaffolding.json").read_text())
+    for s in (hex_scaffolding(), square_scaffolding(),
+              *map(scaffolding_from_json, (paper, scaffolding))):
+        qs = build_qs(s)
+        assert normal_fan(qs) == affine_rank_normal_fan(qs)
 
 
 def test_theta_matrix():
