@@ -52,7 +52,7 @@ def _load_input(args):
         source = {"file": args.infile}
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"malformed JSON: {e}") from None
     provenance = {
         "input_sha256": hashlib.sha256(raw).hexdigest(),
@@ -258,17 +258,21 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, lines, code = _dispatch(args)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        if args.format == "json":
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        else:
+            text = "\n".join(lines + [f"elapsed: {elapsed_ms:.1f} ms"]) + "\n"
     except (InputError, MathError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2 if isinstance(e, InputError) else 3
     except Exception as e:
+        if isinstance(e, ValueError) and "integer string conversion" in str(e):
+            print(f"error: WorkBudgetExceeded: a number has more than {sys.get_int_max_str_digits()} "
+                  "digits, Python's limit for int-string conversion", file=sys.stderr)
+            return 2
         print(f"error: InternalError: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
         return 5
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "\n".join(lines + [f"elapsed: {elapsed_ms:.1f} ms"]) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

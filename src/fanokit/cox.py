@@ -26,7 +26,6 @@ from math import gcd, prod
 from .errors import CorankError, NonSimplicial, TorsionClassGroup
 from .linalg import dot, hnf, kernel_basis, snf, solve_integer, transpose
 from .polyhedra import halfspaces, integer_points
-from .scaffolding import theta_matrix
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
 
@@ -182,17 +181,13 @@ class CoxPolynomial(SparsePoly):
 
 def hypersurface_from_scaffolding(s, cox):
     """The functional h cutting out the image torus, its ray pairings, and
-    the binomial equation of the embedded hypersurface."""
-    ker = kernel_basis(transpose(theta_matrix(s)))
-    if len(ker) != 1:
-        raise CorankError(
-            f"embedding has corank {len(ker)}; a hypersurface needs corank 1"
-        )
-    h = ker[0]
-    nd = s.shape.divisor_count
-    lead = next((h[i] for i in range(nd) if h[i] != 0), 0)
-    if lead < 0:
-        h = tuple(-a for a in h)
+    the binomial equation of the embedded hypersurface.  The rays of each
+    factor of the shape sum to zero, so the kernel of theta^T is spanned by
+    the factors' 0/1 indicators; with one factor, h is 1 on every divisor."""
+    k = len(s.shape.dims)
+    if k != 1:
+        raise CorankError(f"embedding has corank {k}; a hypersurface needs corank 1")
+    h = (1,) * s.shape.divisor_count + (0,) * s.n_u_rank
     pairings = tuple(dot(h, ray) for ray in cox.rays)
     e_plus = tuple(max(p, 0) for p in pairings)
     e_minus = tuple(max(-p, 0) for p in pairings)

@@ -16,9 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from .errors import Unbounded
+from .errors import Unbounded, WorkBudgetExceeded
 from .linalg import dot, identity, kernel_basis, kernel_vector
+
+# Most candidate-normal checks dual_cone may make: C(m, dim - 1) candidates
+# against m normals.  The paper's Q_S needs C(7, 3) * 7 = 245.
+MAX_DUAL_CONE_CHECKS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,18 @@ def dual_cone(hs):
     Interpreting the normals as generators, this is the dual cone; applying it
     twice to the rays of a pointed full-dimensional cone returns the same ray
     set.  A system whose normals do not span the ambient space has a lineality
-    space, returned as an explicit basis with no ray decomposition.
+    space, returned as an explicit basis with no ray decomposition.  Raises
+    WorkBudgetExceeded over MAX_DUAL_CONE_CHECKS.
     """
     if any(b != 0 for b in hs.bounds):
         raise ValueError("dual_cone expects homogeneous inequalities")
     lin = kernel_basis(hs.normals) if hs.normals else identity(hs.dim)
     if lin:
         return ConeV(hs.dim, (), lin)
+    m = len(hs.normals)
+    if (checks := comb(m, hs.dim - 1) * m) > MAX_DUAL_CONE_CHECKS:
+        raise WorkBudgetExceeded(f"the cone of {m} inequalities in dimension {hs.dim} would take "
+                                 f"{checks} ray checks, over the limit of {MAX_DUAL_CONE_CHECKS}")
     rays = sorted(
         v for v in _ray_candidates(hs.dim, hs.normals)
         if all(dot(n, v) >= 0 for n in hs.normals)

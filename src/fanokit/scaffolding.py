@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NonSimplicial, SchemaError, json_int, json_ints, json_list
-from .linalg import det, dot, primitive, rank
+from .linalg import dot, primitive
 from .polygon import convex_hull, validate_fano
 from .polyhedra import halfspaces, homogenized_cone
 
@@ -217,13 +217,15 @@ def normal_fan(hs):
     """Normal fan of a bounded full-dimensional polytope; simplicial or error.
 
     Every face lies in a facet and every facet is cut out by an inequality,
-    so the facet rows are those whose nonempty sets of tight vertices are maximal."""
+    so the facet rows are those whose nonempty sets of tight vertices are
+    maximal.  An inequality tight at every vertex is an implicit equality
+    (Schrijver, 8.2), and a vertex on dim facets is their intersection."""
     rows, verts = homogenized_cone(hs)
     if not verts:
         raise SchemaError("polytope is empty")
-    if rank(verts) <= hs.dim:
-        raise NonSimplicial("polytope is not full-dimensional")
     tight = [frozenset(k for k, r in enumerate(verts) if dot(row, r) == 0) for row in rows]
+    if any(len(t) == len(verts) for t in tight):
+        raise NonSimplicial("polytope is not full-dimensional")
     facet_rows = [i for i, t in enumerate(tight) if t and not any(t < u for u in tight)]
     rays = [primitive(hs.normals[i]) for i in facet_rows]
     if len(set(rays)) != len(rays):
@@ -235,8 +237,6 @@ def normal_fan(hs):
             raise NonSimplicial(
                 f"vertex {r[:-1]}/{r[-1]} lies on {len(tf)} facets in dimension {hs.dim}"
             )
-        if det([rays[j] for j in tf]) == 0:
-            raise NonSimplicial(f"facet normals at vertex {r[:-1]}/{r[-1]} are dependent")
         cones.add(tf)
     return NormalFan(tuple(rays), tuple(sorted(cones)), tuple(facet_rows))
 

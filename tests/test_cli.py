@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanokit.linalg
 from fanokit.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -706,6 +709,114 @@ def test_classical_work_budget_exits_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1
+
+
+def fixture_json(name):
+    return json.loads(resources.files("fanokit").joinpath("fixtures", f"{name}.json").read_text())
+
+
+def many_struts(n):
+    """The paper scaffolding plus n seeded struts, most of them redundant."""
+    data = fixture_json("paper-scaffolding")
+    rng = random.Random(0)
+    extra = [
+        {"name": f"w{i}", "divisor": [rng.randint(0, 40), rng.randint(0, 40)],
+         "chi": [rng.randint(-40, 40)]}
+        for i in range(n)
+    ]
+    return {"shape": data["shape"], "n_u_rank": 1, "struts": data["struts"] + extra}
+
+
+def test_many_struts_exceed_the_dual_cone_budget_at_once(capsys, tmp_path):
+    """C(167, 3) * 167 ray checks are refused before the first; 44 struts
+    (C(47, 3) * 47 checks) stay inside the budget and reach the facet check."""
+    infile = tmp_path / "struts.json"
+    infile.write_text(json.dumps(many_struts(160)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "scaffold", "--in", str(infile))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: WorkBudgetExceeded: ") and err.count("\n") == 1
+    infile.write_text(json.dumps(many_struts(40)))
+    code, out, err = run_cli(capsys, "scaffold", "--in", str(infile))
+    assert code == 3 and err.startswith("error: NonSimplicial: ")
+
+
+DIGITS = str(sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("text, argv, kind", [
+    ('{"vertices": [[2, 1], [1, 2], [-1, 2], [-2, -1], [-1, -2], [1, -2]], "note": '
+     + "9" * 5001 + "}", ["polygon"], "SchemaError"),
+    (json.dumps({"params": [], "terms": [{"exp": [1, 0], "coeff": "7" * 4000},
+                                         {"exp": [-1, 0], "coeff": "1"}]}),
+     ["periods", "classical", "--order", "4"], "WorkBudgetExceeded"),
+    (json.dumps({"vertices": [[1, 0], [0, 1], [-int("1" * 2200), -1]]}), ["polygon"],
+     "WorkBudgetExceeded"),
+], ids=["input-key", "classical-coeffs", "polygon-polar"])
+def test_numbers_past_the_int_string_limit_exit_2(capsys, tmp_path, text, argv, kind):
+    """A JSON integer too long to parse is malformed input; a valid input
+    whose result holds a number too long to print is refused, naming the limit."""
+    infile = tmp_path / "big.json"
+    infile.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {kind}: ") and DIGITS in err and err.count("\n") == 1
+
+
+def test_other_value_errors_still_exit_5(capsys, monkeypatch):
+    def broken(f, order):
+        raise ValueError("kernel broke")
+
+    monkeypatch.setattr("fanokit.pipeline.classical_period", broken)
+    code, out, err = run_cli(capsys, "periods", "classical", "--fixture", "paper", "--order", "2")
+    assert (code, out, err) == (5, "", "error: InternalError: ValueError: kernel broke\n")
+
+
+REDUNDANT_STRUT = {"name": "w", "divisor": [1, 1], "chi": [3]}
+
+
+@pytest.mark.parametrize("fixture, patch, argv, code, needle", [
+    ("paper-scaffolding",
+     {"struts": fixture_json("paper-scaffolding")["struts"] + [REDUNDANT_STRUT]},
+     ["scaffold"], 3, "an inequality of Q_S does not define a facet"),
+    ("paper", {"assign": [1, 2]}, ["periods", "compare"], 2, "'assign' must be an object"),
+    ("paper", None, ["periods", "classical", "--order", "-1"], 2, "order"),
+    ("paper", None, ["periods", "compare", "--order", "-1"], 2, "order"),
+    ("paper-scaffolding", {"fiber_check": ["z1"]}, ["scaffold", "--format", "text"], 0,
+     "fiber avoidance: FAILED at pattern {z1}"),
+], ids=["redundant-strut", "assign-list", "classical-order", "compare-order", "fiber-fails"])
+def test_cli_error_paths(capsys, tmp_path, fixture, patch, argv, code, needle):
+    """Each exits with its code; an error is one stderr line, a failed fiber
+    check a line of the text report."""
+    if patch is None:
+        source = ["--fixture", fixture]
+    else:
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps({**fixture_json(fixture), **patch}))
+        source = ["--in", str(infile)]
+    got, out, err = run_cli(capsys, *argv, *source)
+    assert got == code
+    if code:
+        assert out == "" and needle in err and err.count("\n") == 1
+    else:
+        assert err == "" and needle in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["periods", "compare", "--fixture", "paper", "--order", "20"], 3),
+    (["scaffold", "--fixture", "paper-scaffolding", "--check-hull"], 12),
+], ids=["compare", "scaffold"])
+def test_smith_forms_per_job(capsys, monkeypatch, argv, calls):
+    """Every module's binding of linalg.snf, wrapped.  The Cox stage takes two
+    (the lineality of Q_S's homogenized cone and the class group); compare adds
+    the quantum cone's lineality, scaffold the section and chart lattices."""
+    seen, plain = [], fanokit.linalg.snf
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("fanokit") and getattr(mod, "snf", None) is plain:
+            monkeypatch.setattr(mod, "snf", lambda M: seen.append(1) or plain(M))
+    run_json(capsys, *argv)
+    assert len(seen) == calls
 
 
 FUZZ_RUNS = [

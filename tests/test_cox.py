@@ -30,7 +30,7 @@ from fanokit.errors import (
     TorsionClassGroup,
     Unbounded,
 )
-from fanokit.linalg import dot, primitive
+from fanokit.linalg import dot, kernel_basis, primitive, transpose
 from fanokit.pipeline import run_scaffold
 from fanokit.polygon import convex_hull, validate_fano
 from fanokit.scaffolding import (
@@ -39,6 +39,7 @@ from fanokit.scaffolding import (
     Strut,
     build_qs,
     normal_fan,
+    theta_matrix,
     variable_names,
 )
 from fanokit.symbolic import ParamPoly
@@ -284,6 +285,43 @@ def test_hypersurface_corank_error():
     _, cox = hex_cox()
     with pytest.raises(CorankError):
         hypersurface_from_scaffolding(bad, cox)
+
+
+def theta_kernel_functional(s):
+    """Reference h: the integer kernel of theta^T, with its first nonzero
+    entry on the shape divisors made positive."""
+    ker = kernel_basis(transpose(theta_matrix(s)))
+    if len(ker) != 1:
+        raise CorankError(f"embedding has corank {len(ker)}; a hypersurface needs corank 1")
+    h = ker[0]
+    lead = next((a for a in h[: s.shape.divisor_count] if a != 0), 0)
+    return tuple(-a for a in h) if lead < 0 else h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    n_u_rank=st.integers(0, 2),
+    data=st.data(),
+)
+def test_hypersurface_functional_matches_the_theta_kernel(dims, n_u_rank, data):
+    """h read off the shape equals the kernel of theta^T, or both raise
+    CorankError; the pairings and the binomial follow from h."""
+    s = Scaffolding(ShapeVariety(tuple(dims)), n_u_rank, ())
+    n = s.shape.divisor_count + n_u_rank
+    rays = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6))
+    cox = CoxPresentation(tuple(f"v{i + 1}" for i in range(len(rays))), tuple(rays), (), ())
+    try:
+        expected = theta_kernel_functional(s)
+    except CorankError:
+        with pytest.raises(CorankError):
+            hypersurface_from_scaffolding(s, cox)
+        return
+    h, pairings, eq = hypersurface_from_scaffolding(s, cox)
+    assert h == expected
+    assert pairings == tuple(dot(expected, r) for r in rays)
+    binomial = {tuple(max(p, 0) for p in pairings): 1, tuple(max(-p, 0) for p in pairings): -1}
+    assert eq.terms == CoxPolynomial(cox.names, binomial).terms
 
 
 def test_section_monomials_hexagon():
