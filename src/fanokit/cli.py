@@ -53,13 +53,20 @@ def _load_input(args):
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as e:
-        raise SchemaError(f"malformed JSON: {e}") from None
+        raise SchemaError(f"malformed JSON: {_int_limit(e) or e}") from None
     provenance = {
         "input_sha256": hashlib.sha256(raw).hexdigest(),
         "version": __version__,
     }
     provenance.update(source)
     return data, provenance
+
+
+def _int_limit(e):
+    """Python's int-string limit error in words a CLI user can act on, else None."""
+    if isinstance(e, ValueError) and "integer string conversion" in str(e):
+        return (f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                "Python's limit for int-string conversion")
 
 
 def _parse_assignments(pairs):
@@ -267,9 +274,8 @@ def main(argv=None):
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2 if isinstance(e, InputError) else 3
     except Exception as e:
-        if isinstance(e, ValueError) and "integer string conversion" in str(e):
-            print(f"error: WorkBudgetExceeded: a number has more than {sys.get_int_max_str_digits()} "
-                  "digits, Python's limit for int-string conversion", file=sys.stderr)
+        if limit := _int_limit(e):
+            print(f"error: WorkBudgetExceeded: {limit}", file=sys.stderr)
             return 2
         print(f"error: InternalError: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
         return 5

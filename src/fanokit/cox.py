@@ -18,19 +18,17 @@ which are the semistable zero-patterns (Cox, arXiv:alg-geom/9210008).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
 
-from .errors import CorankError, NonSimplicial, TorsionClassGroup
+from .errors import CorankError, NonSimplicial, Record, TorsionClassGroup
 from .linalg import dot, hnf, kernel_basis, snf, solve_integer, transpose
 from .polyhedra import halfspaces, integer_points
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
 
-@dataclass(frozen=True)
-class CoxPresentation:
+class CoxPresentation(Record):
     """Variable names, primitive rays (rows), maximal cones, weight matrix."""
 
     names: tuple
@@ -102,7 +100,7 @@ def change_class_basis(cox, table):
         raise ValueError("basis table has the wrong shape")
     if hnf(table)[0] != hnf(cox.weights)[0]:
         raise ValueError("table spans a different class-group presentation")
-    return replace(cox, weights=table)
+    return CoxPresentation(cox.names, cox.rays, cox.max_cones, table)
 
 
 def minimal_generators(gens):
@@ -229,8 +227,7 @@ def deformation_family(cox, equation):
     return CoxPolynomial(cox.names, terms, params)
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(Record):
     """Finite abelian quotient acting on chart coordinates.
 
     ``factors`` lists (d, weights mod d) for the nontrivial cyclic factors,
@@ -273,8 +270,7 @@ class AbelianQuotient:
         )
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(Record):
     cone: tuple
     names: tuple
     quotient: AbelianQuotient
@@ -333,8 +329,7 @@ def chart_analysis(cox, family):
     return tuple(reports)
 
 
-@dataclass(frozen=True)
-class FiberCheck:
+class FiberCheck(Record):
     verified: bool
     witness: tuple = None
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the type checks on parsed input JSON.
+"""Exception hierarchy, type checks on parsed input JSON, and the Record base.
 
 InputError covers malformed user input (bad JSON, invalid polygons) and
 requests over a work budget; it maps to CLI exit code 2.  MathError covers
@@ -77,3 +77,42 @@ def json_ints(value, what, length=None):
     if length is not None and len(value) != length:
         raise SchemaError(f"{what} must have {length} entries, got {value!r}")
     return tuple(json_int(v, what) for v in value)
+
+
+class Record:
+    """Frozen record, generating no code at import: the fields are the subclass's
+    own annotations in order, and class attributes are defaults, as in a dataclass."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            # Record itself stands for a missing field: no field defaults to it.
+            args += tuple(kwargs.pop(n, getattr(type(self), n, Record)) for n in names[len(args):])
+            if kwargs or len(args) != len(names) or any(v is Record for v in args):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    # An instance's __dict__ holds exactly its fields, in order, as set above:
+    # assignment and deletion raise, and __post_init__ only replaces values.
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        items = ", ".join(f"{n}={v!r}" for n, v in vars(self).items())
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

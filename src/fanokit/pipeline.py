@@ -11,7 +11,6 @@ presentation, hypersurface and its class x_class), each step computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cox import (
@@ -26,7 +25,7 @@ from .cox import (
     minimal_generators,
     unstable_locus_equal,
 )
-from .errors import NonSimplicial, SchemaError, json_ints, json_list
+from .errors import NonSimplicial, Record, SchemaError, json_ints, json_list
 from .laurent import classical_period, laurent_from_json
 from .linalg import vec_sub
 from .polygon import (
@@ -99,8 +98,7 @@ def run_polygon(data):
     }
 
 
-@dataclass(frozen=True)
-class CoxStage:
+class CoxStage(Record):
     """Scaffolding -> Q_S -> Cox presentation -> hypersurface, each step once."""
 
     scaffolding: Scaffolding

@@ -14,11 +14,10 @@ lexicographically least vertex, so equal polygons compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
+from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior, Record
 from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, snf, vec_sub
 from .polyhedra import halfspaces, integer_points
 
@@ -56,8 +55,7 @@ def _canonical_cycle(verts):
     return tuple(verts[i:] + verts[:i])
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Convex polygon around the origin; int or Fraction vertices, counterclockwise."""
 
     vertices: tuple
@@ -91,8 +89,7 @@ def validate_fano(points):
     return Polygon(_canonical_cycle(list(hull)))
 
 
-@dataclass(frozen=True)
-class CyclicQuotient2D:
+class CyclicQuotient2D(Record):
     """Cyclic quotient singularity 1/r(1,a), stored in canonical form.
 
     1/r(1,a) and 1/r(1,a') are the same singularity when a' is the inverse of
@@ -123,8 +120,7 @@ class CyclicQuotient2D:
         return "smooth" if self.r == 1 else f"1/{self.r}(1,{self.a})"
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(Record):
     edge: int
     quotient: CyclicQuotient2D
     length: int

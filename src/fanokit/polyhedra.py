@@ -13,12 +13,11 @@ Everything is pure and deterministic; ray and point lists come back sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import Unbounded, WorkBudgetExceeded
+from .errors import Record, Unbounded, WorkBudgetExceeded
 from .linalg import dot, identity, kernel_basis, kernel_vector
 
 # Most candidate-normal checks dual_cone may make: C(m, dim - 1) candidates
@@ -26,8 +25,7 @@ from .linalg import dot, identity, kernel_basis, kernel_vector
 MAX_DUAL_CONE_CHECKS = 10**6
 
 
-@dataclass(frozen=True)
-class HalfspaceSystem:
+class HalfspaceSystem(Record):
     """Finite system of inequalities <normal_i, x> >= bound_i."""
 
     dim: int
@@ -49,8 +47,7 @@ class HalfspaceSystem:
         return all(dot(n, point) >= b for n, b in zip(self.normals, self.bounds))
 
 
-@dataclass(frozen=True)
-class ConeV:
+class ConeV(Record):
     """Cone in ray description: primitive extreme rays plus lineality basis.
 
     An empty ``lineality`` means the cone is pointed; otherwise no ray
@@ -59,7 +56,7 @@ class ConeV:
 
     dim: int
     rays: tuple
-    lineality: tuple = field(default=())
+    lineality: tuple = ()
 
     @property
     def is_pointed(self):

@@ -16,12 +16,11 @@ per degree is built at the end.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial, floor, lcm, prod
 
-from .errors import NonSimplicial, Unbounded, WorkBudgetExceeded
+from .errors import NonSimplicial, Record, Unbounded, WorkBudgetExceeded
 from .linalg import dot, integer_solver, kernel_vector, primitive, transpose, vec_sub
 from .polyhedra import HalfspaceSystem, dual_cone, halfspaces, integer_point_runs
 from .series import PowerSeries, regularize
@@ -31,8 +30,7 @@ from .series import PowerSeries, regularize
 MAX_BOX_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class WallCurve:
+class WallCurve(Record):
     """A codimension-one cone of the fan and the curve class it carries."""
 
     wall: tuple
@@ -97,8 +95,7 @@ def mori_and_nef(cox):
     return ws, dual_cone(halfspaces(cox.class_rank, nef.rays)).rays, nef.rays
 
 
-@dataclass(frozen=True)
-class CurveClassCone:
+class CurveClassCone(Record):
     """Curve classes pairing nonnegatively with nef divisors and variables."""
 
     system: HalfspaceSystem

@@ -12,17 +12,15 @@ nonempty and maximal (Ziegler, Lectures on Polytopes, 2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import NonSimplicial, SchemaError, json_int, json_ints, json_list
+from .errors import NonSimplicial, Record, SchemaError, json_int, json_ints, json_list
 from .linalg import dot, primitive
 from .polygon import convex_hull, validate_fano
 from .polyhedra import halfspaces, homogenized_cone
 
 
-@dataclass(frozen=True)
-class ShapeVariety:
+class ShapeVariety(Record):
     """Product of projective spaces P^(d_1) x ... x P^(d_k)."""
 
     dims: tuple
@@ -98,8 +96,7 @@ class ShapeVariety:
         return [tuple(c for part in combo for c in part) for combo in product(*vsets)]
 
 
-@dataclass(frozen=True)
-class Strut:
+class Strut(Record):
     """One (divisor, translation character) pair of a scaffolding."""
 
     name: str
@@ -111,8 +108,7 @@ class Strut:
         object.__setattr__(self, "chi", tuple(int(a) for a in self.chi))
 
 
-@dataclass(frozen=True)
-class Scaffolding:
+class Scaffolding(Record):
     shape: ShapeVariety
     n_u_rank: int
     struts: tuple
@@ -199,8 +195,7 @@ def theta_matrix(s):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class NormalFan:
+class NormalFan(Record):
     """Complete simplicial fan read off a full-dimensional polytope.
 
     ``rays`` are the primitive inner facet normals in input-inequality order;

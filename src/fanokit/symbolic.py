@@ -242,4 +242,5 @@ def parse_coeff(text, params):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse coefficient {text!r}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"cannot parse coefficient {shown}") from None

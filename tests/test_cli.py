@@ -745,23 +745,28 @@ def test_many_struts_exceed_the_dual_cone_budget_at_once(capsys, tmp_path):
 DIGITS = str(sys.get_int_max_str_digits())
 
 
-@pytest.mark.parametrize("text, argv, kind", [
+@pytest.mark.parametrize("text, argv, kind, needle", [
     ('{"vertices": [[2, 1], [1, 2], [-1, 2], [-2, -1], [-1, -2], [1, -2]], "note": '
-     + "9" * 5001 + "}", ["polygon"], "SchemaError"),
+     + "9" * 5001 + "}", ["polygon"], "SchemaError", DIGITS),
     (json.dumps({"params": [], "terms": [{"exp": [1, 0], "coeff": "7" * 4000},
                                          {"exp": [-1, 0], "coeff": "1"}]}),
-     ["periods", "classical", "--order", "4"], "WorkBudgetExceeded"),
+     ["periods", "classical", "--order", "4"], "WorkBudgetExceeded", DIGITS),
     (json.dumps({"vertices": [[1, 0], [0, 1], [-int("1" * 2200), -1]]}), ["polygon"],
-     "WorkBudgetExceeded"),
-], ids=["input-key", "classical-coeffs", "polygon-polar"])
-def test_numbers_past_the_int_string_limit_exit_2(capsys, tmp_path, text, argv, kind):
+     "WorkBudgetExceeded", DIGITS),
+    (json.dumps({"params": [], "terms": [{"exp": [1, 0], "coeff": "7" * 5000},
+                                         {"exp": [-1, 0], "coeff": "1"}]}),
+     ["periods", "classical", "--order", "4"], "SchemaError", "(5000 characters)"),
+], ids=["input-key", "classical-coeffs", "polygon-polar", "coeff-string"])
+def test_numbers_past_the_int_string_limit_exit_2(capsys, tmp_path, text, argv, kind, needle):
     """A JSON integer too long to parse is malformed input; a valid input
-    whose result holds a number too long to print is refused, naming the limit."""
+    whose result holds a number too long to print is refused, naming the limit.
+    Either way the one line is short and names nothing a CLI user cannot set."""
     infile = tmp_path / "big.json"
     infile.write_text(text)
     code, out, err = run_cli(capsys, *argv, "--in", str(infile))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {kind}: ") and DIGITS in err and err.count("\n") == 1
+    assert err.startswith(f"error: {kind}: ") and needle in err and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 200 and "set_int_max_str_digits" not in err
 
 
 def test_other_value_errors_still_exit_5(capsys, monkeypatch):
