@@ -31,11 +31,13 @@ held at a time.  Each power is a set of rows of packed fields:
   needs only kept terms of f^(j-1).  A rounding shift below and a balanced
   mask above cut a row to its x range.  If some h_l < 0 the origin is
   outside Newt(f) and every coefficient after the first is 0.
-* Pairing.  Each row is decoded once: a bias sets each field's top bit,
-  flipping it back leaves the field in two's complement, and the bytes are
-  read as 64-bit limbs.  Row r of f^a pairs with row -r of f^b reversed
-  through sum(map(mul, ...)), their parameter parts adding, if their x
-  ranges can meet: the rows of a group are sorted by where they start.
+* Pairing.  Each power is decoded once, all its rows in one pass over their
+  own x ranges: a bias sets each field's top bit, flipping it back leaves the
+  field in two's complement, the joined bytes are read as 64-bit limbs, and a
+  row is a slice of one field tuple, also reversed.  Row r of f^a pairs with
+  row -r of f^b reversed, parameter parts adding, if their x ranges can meet
+  (a group's rows are sorted by start): one slice and one sum(map(mul, ...))
+  per row pair.  f^J keeps only rows that meet a row of f^(J-1) or of f^J.
 * Budget.  The work, rows x fields x w over the J powers, is at most J * w
   times bounds on f^J, found before the first power: its rows (monomials
   of degree J in f's row keys, or its parameter exponents times its lines)
@@ -242,21 +244,20 @@ def _row_step(power, groups, w, cut):
     return {k: cur for k, cur in acc.items() if cur[1]}
 
 
-def _decoded(groups, w):
-    """{rest part: (L, H, rows, by start, window)}: the rows of each group of a
-    power decoded, all in one pass, over the group's x range [L, H] as
-    (parameter part, lo, hi, fields), [lo, hi] the row's own range; the rows
-    again sorted by -hi, where they start reversed; and for more than one row
-    those starts and the longest hi - lo.  The unsigned lower limbs of a field
-    go under its signed top limb by maps."""
-    m, spans, raw = w // 64, [], []
-    for rp, rows in groups.items():
-        low = min(lo for _, lo, _ in rows)
-        n = max(lo + row.bit_length() // w for _, lo, row in rows) - low + 1
-        bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
-        raw += [(((row << w * (lo - low)) + bias) ^ bias).to_bytes(n * w // 8, "little")
-                for _, lo, row in rows]
-        spans.append((rp, low, n, [(pa, lo, lo + row.bit_length() // w) for pa, lo, row in rows]))
+def _decoded(power, w, rest_part):
+    """{rest part: (rows, starts, longest)}: every row of a power decoded in one
+    pass as (parameter part, lo, hi, fields, fields reversed) over its own x
+    range [lo, hi], each a slice of one tuple of the power's fields.  The
+    unsigned lower limbs of a field go under its signed top limb by maps.
+    The rows of a group are sorted by -hi, where they start reversed; for
+    more than one row, starts holds those starts and longest the longest
+    hi - lo, else they are None and 0."""
+    m, biases, raw = w // 64, {}, []
+    for lo, row in power.values():
+        n = row.bit_length() // w + 1
+        if (bias := biases.get(n)) is None:
+            bias = biases[n] = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+        raw.append(((row + bias) ^ bias).to_bytes(n * w // 8, "little"))
     step = -1 if byteorder == "big" else 1  # reversed bytes read natively: the limbs reversed
     limbs = memoryview(b"".join(raw)[::step])
     fields, unsigned = limbs.cast("q")[::step], limbs.cast("Q")[::step]
@@ -264,39 +265,40 @@ def _decoded(groups, w):
         fields = fields[m - 1 :: m]
         for t in reversed(range(m - 1)):
             fields = map(add, map(mul, fields, repeat(1 << 64)), unsigned[t::m])
-    fields, out, i = list(fields), {}, 0
-    for rp, low, n, pas in spans:
-        rows = [(pa, lo, hi, fields[i + t * n : i + t * n + n])
-                for t, (pa, lo, hi) in enumerate(pas)]
-        rev = sorted(rows, key=lambda r: -r[2]) if len(rows) > 1 else rows
-        many = len(rows) > 1 and ([-r[2] for r in rev], max(hi - lo for _, lo, hi in pas))
-        out[rp] = low, low + n - 1, rows, rev, many
-        i += n * len(pas)
-    return out
+    fields = tuple(fields)
+    rev, i, j, groups = fields[::-1], 0, len(fields), {}
+    for (k, (lo, _)), b in zip(power.items(), raw):
+        n = len(b) * 8 // w
+        groups.setdefault(rp := rest_part(k), []).append(
+            (k - rp, lo, lo + n - 1, fields[i : i + n], rev[j - n : j]))
+        i, j = i + n, j - n
+    for rp, rows in groups.items():
+        if len(rows) > 1:
+            rows.sort(key=lambda r: -r[2])
+            groups[rp] = rows, [-r[2] for r in rows], max(r[2] - r[1] for r in rows)
+        else:
+            groups[rp] = rows, None, 0
+    return groups
 
 
-def _paired(a, b, w):
+def _paired(a, b):
     """{parameter part: sum over x of a row of a times a row of b at -x}, a and b
-    as (rest part -> rows (parameter part, lo, row), rest part -> decoded group,
-    filled on first use).  Groups pair by opposite rest parts, once if a is b,
-    and rows only if their x ranges can meet: each row of a takes the reversed
-    rows of b that start within the longest row of its start, and is padded
-    with zeros to line up with them."""
-    for x, y in ((a, b), (b, a)):
-        x[1].update(_decoded({r: rs for r, rs in x[0].items() if -r in y[0] and r not in x[1]}, w))
+    decoded powers.  Groups pair by opposite rest parts, once if a is b, and
+    rows only if their x ranges can meet: each row of a takes the reversed
+    rows of b that start within the longest row of its start.  The side that
+    starts first is sliced to where the other starts, and map stops at the
+    end of the shorter."""
     sums = {}
-    for rp, (la, _, ra, _, _) in a[1].items():
-        if (a is b and rp < 0) or -rp not in b[1]:
+    for rp, (ra, _, _) in a.items():
+        if (a is b and rp < 0) or -rp not in b:
             continue
-        lb, hb, _, rb, many = b[1][-rp]
+        rb, starts, longest = b[-rp]
         twice = 1 + (a is b and rp != 0)
-        for pa, lo, hi, fa in ra:  # fa[t] is the field at x = t - hb, as for each reversed row
-            if (s := max(lo, -hb)) <= (e := min(hi, -lb)):
-                fa = [0] * (hb + s) + fa[s - la : e - la + 1]
-                for pb, _, _, r in rb[bisect_left(many[0], lo - many[1]) : bisect_right(
-                        many[0], hi)] if many else rb:
-                    if d := sum(map(mul, fa, reversed(r))):
-                        sums[pa + pb] = sums.get(pa + pb, 0) + twice * d
+        for pa, lo, hi, fa, _ in ra:
+            for pb, _, hb, _, r in rb[bisect_left(starts, lo - longest) : bisect_right(
+                    starts, hi)] if starts else rb:
+                if d := sum(map(mul, fa[-s:], r) if (s := lo + hb) < 0 else map(mul, fa, r[s:])):
+                    sums[pa + pb] = sums.get(pa + pb, 0) + twice * d
     return sums
 
 
@@ -341,12 +343,6 @@ def classical_period(f, order):
             return memo[rp]
         return cut
 
-    def view(power):
-        by_rest = {}
-        for k, (lo, row) in power.items():
-            by_rest.setdefault(rp := rest_part(k), []).append((k - rp, lo, row))
-        return by_rest, {}
-
     def emit(sums, k):
         if not f.params:
             return Fraction(sums.get(0, 0), scale**k)
@@ -354,14 +350,17 @@ def classical_period(f, order):
                                    for s, c in sums.items()})
         return out if out.terms else Fraction(0)
 
-    prev = view(power := {0: [0, 1]})
+    power, prev = {0: [0, 1]}, {0: ([(0, 0, 0, (1,), (1,))], None, 0)}  # f^0, decoded
     for j in range(1, half + 1):  # the last power only pairs, so it is not pruned
         prune = j < half and any(-j * low > (order - j) * h for _, h, low in bounds)
         power = _row_step(power, groups, w, prune and cuts(order - j, {}))
-        cur = view(power)
+        if j == half:  # then a row meets only rows of f^(j-1) and of f^j
+            near = {*prev, *map(rest_part, power)}
+            power = {k: r for k, r in power.items() if -rest_part(k) in near}
+        cur = _decoded(power, w, rest_part)
         for k, low in ((2 * j - 1, prev), (2 * j, cur)):
             if k <= order:
-                coeffs.append(emit(_paired(cur, low, w), k))
+                coeffs.append(emit(_paired(cur, low), k))
         prev = cur
     return PowerSeries(order, coeffs)
 

@@ -247,16 +247,16 @@ def in_scaled_polygon(p, hull, s):
 
 
 @pytest.mark.parametrize(
-    "f, order, products, rows, fields",
+    "f, order, products, rows, fields, pairs",
     [
         (hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0}),
-         12, 260, [4, 9, 13, 17, 21, 25], [10, 37, 95, 177, 283, 413]),
-        (hex_laurent(), 8, 2720, [10, 54, 207, 634], [14, 98, 485, 1874]),
+         12, 260, [4, 9, 13, 17, 21, 25], [10, 37, 95, 177, 283, 413], 111),
+        (hex_laurent(), 8, 2720, [10, 54, 207, 634], [14, 98, 485, 1874], 29745),
     ],
     ids=["specialized-order12", "symbolic-order8"],
 )
 def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term(
-    monkeypatch, f, order, products, rows, fields
+    monkeypatch, f, order, products, rows, fields, pairs
 ):
     """Work of the row kernel on the paper polynomial, all on ints.
 
@@ -269,14 +269,18 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     each.  With its six parameters in the row keys, the symbolic order-8
     period makes 2,720 row products (the dict kernel made 8,162 int
     products), and the only ParamPolys built are the emitted coefficients.
+    Each power built is decoded once, and the pairing makes one dot product
+    per pair of rows in its windows: 111 at order 12, 29,745 symbolic.
     """
-    held, made, built = [], [], []
+    held, made, built, powers, decoded, dots, pairing = [], [], [], [], [], [], []
     plain_step, plain_init = fanokit.laurent._row_step, ParamPoly.__init__
+    plain_decoded, plain_paired = fanokit.laurent._decoded, fanokit.laurent._paired
     hull = convex_hull(f.terms)
 
     def counting_step(power, groups, w, cut):
         made.append(len(power) * len(groups))
         out = plain_step(power, groups, w, cut)
+        powers.append(out)
         j = len(held) + 1
         held.append([(lo, key, row_fields(row, w)) for key, (lo, row) in out.items()])
         assert all(type(row) is int for _, row in out.values())
@@ -291,11 +295,30 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
         built.append(args)
         plain_init(self, *args)
 
+    def counting_decoded(power, *args):
+        decoded.append(power)
+        return plain_decoded(power, *args)
+
+    def counting_paired(a, b):  # every sum inside the pairing is one row pair's dot
+        pairing.append(True)
+        try:
+            return plain_paired(a, b)
+        finally:
+            pairing.pop()
+
+    def counting_sum(values, start=0):
+        if pairing:
+            dots.append(values)
+        return sum(values, start)
+
     assert fanokit.laurent._row_frame(f, list(_flat_terms(f)), (order + 1) // 2)[0] == {
         e: e for e in f.terms}
     expected = dict_kernel_period(f, order)
     monkeypatch.setattr("fanokit.laurent._row_step", counting_step)
     monkeypatch.setattr(ParamPoly, "__init__", counting_init)
+    monkeypatch.setattr("fanokit.laurent._decoded", counting_decoded)
+    monkeypatch.setattr("fanokit.laurent._paired", counting_paired)
+    monkeypatch.setattr(fanokit.laurent, "sum", counting_sum, raising=False)
     got = classical_period(f, order)
     monkeypatch.undo()
     assert got == expected
@@ -303,6 +326,8 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     assert [sum(len(row) for *_, row in power) for power in held] == fields
     assert sum(made) == products
     assert len(built) <= 9
+    assert decoded == powers and len(decoded) == len(rows)
+    assert len(dots) == pairs
 
 
 def test_classical_period_rejects_a_parameter_missing_from_params():

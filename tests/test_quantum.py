@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -218,6 +219,32 @@ def test_quantum_period_p2_matches_mirror():
         {(1, 0): Fraction(1), (0, 1): Fraction(1), (-1, -1): Fraction(1)},
     )
     assert first_mismatch(reg, classical_period(f, 9), 9) is None
+
+
+TORIC_FANS = {
+    "P1xP2": (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
+              [(a, *b) for a in (0, 1) for b in ((2, 3), (2, 4), (3, 4))]),
+    "P3": (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), list(combinations(range(4), 3))),
+    "P1^3": (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+             list(product((0, 1), (2, 3), (4, 5)))),
+    "dP6": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+            [(i, (i + 1) % 6) for i in range(6)]),
+}
+
+
+@pytest.mark.parametrize("name", TORIC_FANS)
+def test_toric_quantum_period_matches_the_classical_period_of_its_rays(name):
+    """The mirror of a toric Fano manifold X with rays rho: the regularized
+    quantum period of X (hypersurface class 0) is the classical period of
+    sum_rho x^rho.  Both count the relations sum d_rho rho = 0 with d >= 0 by
+    k!/prod d_rho! (Coates, Corti, Galkin and Kasprzyk, Quantum periods for
+    3-dimensional Fano manifolds).  P1xP2 takes the classical kernel's zero
+    axis, one field per row, in a 3-D frame."""
+    rays, cones = TORIC_FANS[name]
+    cox = cox_presentation(rays, cones)
+    f = LaurentPolynomial(len(rays[0]), (), {r: Fraction(1) for r in rays})
+    _, reg = quantum_period(cox, (0,) * cox.class_rank, 16)
+    assert reg == classical_period(f, 16)
 
 
 def reference_quantum_period(cox, hypersurface_class, order):
