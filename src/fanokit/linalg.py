@@ -32,10 +32,7 @@ def dot(u, v):
 
 
 def gcd_vec(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitive(v):
@@ -274,13 +271,21 @@ def kernel_vector(rows):
 
     Entry j is (-1)^j times the minor that leaves out column j, so <v, x> is
     the determinant of x stacked on the rows, which vanishes for each row.  In
-    length 3 this is the cross product; with no rows it is (1,), since the
-    empty determinant is 1.  Returns None when the rank is below n - 1.
+    length 3 this is the cross product; in length 4 each minor expands along
+    the third row over the 2 x 2 minors of the first two; longer rows take det.
+    With no rows it is (1,).  Returns None when the rank is below n - 1.
     """
-    rows = mat_freeze(rows)
-    v = tuple(
-        (-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(len(rows) + 1)
-    )
+    if len(rows) == 2:
+        (a, b, c), (d, e, f) = rows
+        v = (b * f - c * e, c * d - a * f, a * e - b * d)
+    elif len(rows) == 3:
+        (a, b, c, d), (e, f, g, h), (i, j, k, l) = rows
+        ab, ac, ad = a * f - b * e, a * g - c * e, a * h - d * e
+        bc, bd, cd = b * g - c * f, b * h - d * f, c * h - d * g
+        v = (j * cd - k * bd + l * bc, k * ad - i * cd - l * ac,
+             i * bd - j * ad + l * ab, j * ac - i * bc - k * ab)
+    else:
+        v = tuple((-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1))
     return primitive(v) if any(v) else None
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .errors import Record, Unbounded, WorkBudgetExceeded
 from .linalg import dot, identity, kernel_basis, kernel_vector
@@ -71,13 +72,11 @@ def halfspaces(dim, normals, bounds=None):
 
 
 def _ray_candidates(dim, normals):
-    """Both primitive directions of every line cut out by dim - 1 normals."""
-    cands = set()
+    """One primitive direction, lexicographically positive, per line cut by dim - 1 normals."""
+    cands, zero = set(), (0,) * dim
     for rows in combinations(normals, dim - 1):
-        v = kernel_vector(rows)
-        if v is not None:
-            cands.add(v)
-            cands.add(tuple(-a for a in v))
+        if (v := kernel_vector(rows)) is not None:
+            cands.add(v if v > zero else tuple(-a for a in v))
     return cands
 
 
@@ -86,24 +85,39 @@ def dual_cone(hs):
 
     Interpreting the normals as generators, this is the dual cone; applying it
     twice to the rays of a pointed full-dimensional cone returns the same ray
-    set.  A system whose normals do not span the ambient space has a lineality
-    space, returned as an explicit basis with no ray decomposition.  Raises
-    WorkBudgetExceeded over MAX_DUAL_CONE_CHECKS.
+    set.  One pass of <n_i, v> per candidate line v stops once both signs have
+    appeared: v is a ray when no value is negative, -v when none is positive.
+    Normals that do not span vanish on every line and leave a lineality space,
+    returned as an explicit basis with no ray decomposition.  Raises
+    WorkBudgetExceeded over MAX_DUAL_CONE_CHECKS unless the normals leave one.
     """
     if any(b != 0 for b in hs.bounds):
         raise ValueError("dual_cone expects homogeneous inequalities")
-    lin = kernel_basis(hs.normals) if hs.normals else identity(hs.dim)
-    if lin:
-        return ConeV(hs.dim, (), lin)
-    m = len(hs.normals)
+    normals, m = hs.normals, len(hs.normals)
     if (checks := comb(m, hs.dim - 1) * m) > MAX_DUAL_CONE_CHECKS:
+        if lin := kernel_basis(normals):
+            return ConeV(hs.dim, (), lin)
         raise WorkBudgetExceeded(f"the cone of {m} inequalities in dimension {hs.dim} would take "
                                  f"{checks} ray checks, over the limit of {MAX_DUAL_CONE_CHECKS}")
-    rays = sorted(
-        v for v in _ray_candidates(hs.dim, hs.normals)
-        if all(dot(n, v) >= 0 for n in hs.normals)
-    )
-    return ConeV(hs.dim, tuple(rays))
+    rays, spans = [], False
+    for v in _ray_candidates(hs.dim, normals):
+        pos = neg = False
+        for n in normals:
+            if (s := sum(map(mul, n, v))) > 0:
+                if neg:
+                    break
+                pos = True
+            elif s < 0:
+                if pos:
+                    break
+                neg = True
+        else:
+            if pos or neg:
+                rays.append(v if pos else tuple(-a for a in v))
+        spans = pos or neg  # the same on every line (Ziegler, Lectures on Polytopes, 1.2)
+    if not spans:
+        return ConeV(hs.dim, (), kernel_basis(normals) if normals else identity(hs.dim))
+    return ConeV(hs.dim, tuple(sorted(rays)))
 
 
 def homogenized_cone(hs):

@@ -211,7 +211,7 @@ class ParamPoly(SparsePoly):
         for e, c in self.terms.items():
             val = c
             for i, p in enumerate(self.params):
-                if p in assignments:
+                if e[i] and p in assignments:
                     val *= assignments[p] ** e[i]
             key = tuple(e[i] for i in keep)
             out[key] = out.get(key, Fraction(0)) + val

@@ -4,9 +4,22 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanokit.errors import Unbounded
-from fanokit.linalg import dot, rank, solve_rational
+from fanokit import polyhedra
+from fanokit.errors import Unbounded, WorkBudgetExceeded
+from fanokit.linalg import (
+    det,
+    dot,
+    identity,
+    kernel_basis,
+    kernel_vector,
+    mat_freeze,
+    primitive,
+    rank,
+    solve_rational,
+)
 from fanokit.polyhedra import (
     ConeV,
     dual_cone,
@@ -15,6 +28,91 @@ from fanokit.polyhedra import (
     integer_points,
     vertices,
 )
+
+
+def reference_kernel_vector(rows):
+    """Signed maximal minors of n - 1 rows of length n, each a det, made primitive."""
+    rows = mat_freeze(rows)
+    v = tuple(
+        (-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(len(rows) + 1)
+    )
+    return primitive(v) if any(v) else None
+
+
+def reference_dual_cone(hs):
+    """A Smith form decides pointedness first; then both directions of every
+    candidate line are kept where every normal pairs nonnegatively with them."""
+    lin = kernel_basis(hs.normals) if hs.normals else identity(hs.dim)
+    if lin:
+        return ConeV(hs.dim, (), lin)
+    cands = set()
+    for rows in combinations(hs.normals, hs.dim - 1):
+        v = reference_kernel_vector(rows)
+        if v is not None:
+            cands.add(v)
+            cands.add(tuple(-a for a in v))
+    rays = sorted(v for v in cands if all(dot(n, v) >= 0 for n in hs.normals))
+    return ConeV(hs.dim, tuple(rays))
+
+
+ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def cone_systems(draw):
+    """Homogeneous systems in dimensions 1-4 with 0-8 nonzero normals, the
+    empty one included; about half are integer combinations of fewer than
+    dim rows, so their normals cannot span."""
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[ENTRY] * dim)
+    if dim > 1 and draw(st.booleans()):
+        base = draw(st.lists(vec, min_size=1, max_size=dim - 1))
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+        combos = [tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(dim))
+                  for cs in draw(st.lists(coeffs, max_size=8))]
+        normals = [n for n in combos if any(n)]
+    else:
+        normals = draw(st.lists(vec.filter(any), max_size=8))
+    return halfspaces(dim, normals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs=cone_systems())
+def test_dual_cone_matches_the_reference(hs):
+    """Rays, their order and the lineality basis, against the SNF-first
+    reference that tries both directions of every line on every normal."""
+    assert dual_cone(hs) == reference_dual_cone(hs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5))
+def test_kernel_vector_matches_the_reference(data, n):
+    """The closed forms (lengths 3 and 4) and det (the others) give the same
+    primitive vector, sign included; a row that combines two others (or a
+    zero row, for a single row) leaves the rank below n - 1 and gives None."""
+    rows = data.draw(st.lists(st.tuples(*[ENTRY] * n), min_size=n - 1, max_size=n - 1))
+    assert kernel_vector(rows) == reference_kernel_vector(rows)
+    a, b = data.draw(st.tuples(ENTRY, ENTRY))
+    low = rows[:-1] + ([tuple(a * x + b * y for x, y in zip(rows[0], rows[-2]))] if n > 2
+                       else [(0,) * n])
+    assert kernel_vector(low) is None and reference_kernel_vector(low) is None
+
+
+def test_dual_cone_over_the_budget_still_returns_its_lineality():
+    """C(150, 2) * 150 checks are over MAX_DUAL_CONE_CHECKS; normals in the
+    plane z = 0 leave the z axis as lineality, and spanning normals raise."""
+    flat = [(i, j, 0) for i in range(1, 16) for j in range(-5, 5)]
+    cone = dual_cone(halfspaces(3, flat))
+    assert cone == reference_dual_cone(halfspaces(3, flat))
+    assert cone.rays == () and cone.lineality in (((0, 0, 1),), ((0, 0, -1),))
+    with pytest.raises(WorkBudgetExceeded):
+        dual_cone(halfspaces(3, flat[:-1] + [(1, 1, 1)]))
+
+
+def test_ray_candidates_are_one_direction_per_line():
+    """Opposite kernel vectors of two row subsets are one line."""
+    lines = polyhedra._ray_candidates(2, [(1, 0), (-1, 0), (0, 1)])
+    assert lines == {(0, 1), (1, 0)}
 
 
 def test_dual_cone_plane_example():

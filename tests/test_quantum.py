@@ -1,6 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -245,6 +247,49 @@ def test_toric_quantum_period_matches_the_classical_period_of_its_rays(name):
     f = LaurentPolynomial(len(rays[0]), (), {r: Fraction(1) for r in rays})
     _, reg = quantum_period(cox, (0,) * cox.class_rank, 16)
     assert reg == classical_period(f, 16)
+
+
+def projective_space(n):
+    rays = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((-1,) * n,)
+    return cox_presentation(rays, list(combinations(range(n + 1), n)))
+
+
+def laurent_power(base, power, shift, extra=()):
+    """(sum_{b in base} x^b)^power * x^shift + sum_{e in extra} x^e."""
+    terms = Counter({shift: 1})
+    for _ in range(power):
+        step = Counter()
+        for e, c in terms.items():
+            for b in base:
+                step[tuple(map(add, e, b))] += c
+        terms = step
+    terms.update(extra)
+    return LaurentPolynomial(len(shift), (), {e: Fraction(c) for e, c in terms.items()})
+
+
+HYPERSURFACES = {
+    "quadric-surface": (3, 2, 18, laurent_power(((0, 0), (1, 0)), 2, (-1, -1), [(0, 1)]),
+                        [1, 0, 4, 0, 36]),
+    "cubic-surface": (3, 3, 18, laurent_power(((0, 0), (1, 0), (0, 1)), 3, (-1, -1)),
+                      [1, 6, 90, 1680]),
+    "quartic-threefold": (4, 4, 10, laurent_power(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                                  4, (-1, -1, -1)),
+                          [1, 24, 2520, 369600]),
+}
+
+
+@pytest.mark.parametrize("name", HYPERSURFACES)
+def test_hypersurface_quantum_period_matches_przyjalkowskis_mirror(name):
+    """A hypersurface of degree d in P^n (class (d) in the rank-1 class group)
+    against the classical period of Przyjalkowski's Laurent polynomial
+    (V. Przyjalkowski, On Landau-Ginzburg models for Fano varieties):
+    (1 + x)^2/(xy) + y, (1 + x + y)^3/(xy) and (1 + x + y + z)^4/(xyz).  The
+    class is nonzero, so the factorial numerators step; the curve cone is a
+    dual cone in dimension 1, whose one candidate line comes from no normals."""
+    n, d, order, f, head = HYPERSURFACES[name]
+    _, reg = quantum_period(projective_space(n), (d,), order)
+    assert list(reg.coeffs[: len(head)]) == head
+    assert reg == classical_period(f, order)
 
 
 def reference_quantum_period(cox, hypersurface_class, order):

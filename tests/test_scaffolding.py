@@ -7,9 +7,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fanokit.linalg
+import fanokit.polyhedra
 from fanokit.errors import FanokitError, NonSimplicial, SchemaError, Unbounded
 from fanokit.linalg import det, dot, primitive, rank
-from fanokit.polyhedra import halfspaces, vertices
+from fanokit.polyhedra import halfspaces, homogenized_cone, vertices
 from fanokit.scaffolding import (
     NormalFan,
     Scaffolding,
@@ -190,12 +191,27 @@ def test_normal_fan_hexagon():
     assert fan.facet_rows == (0, 1, 2, 3, 4, 5)
 
 
-def test_normal_fan_takes_one_smith_form(monkeypatch):
-    """The dual cone's lineality; full dimension is read off the tight sets."""
+def test_normal_fan_takes_no_smith_form(monkeypatch):
+    """Pointedness is read off the dual cone's candidate lines and full
+    dimension off the tight sets."""
     calls, plain_snf = [], fanokit.linalg.snf
     monkeypatch.setattr("fanokit.linalg.snf", lambda M: calls.append(1) or plain_snf(M))
     assert normal_fan(build_qs(hex_scaffolding())).rays == QS_NORMALS
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_qs_homogenized_cone_tries_35_lines_for_8_rays(monkeypatch):
+    """t >= 0 and Q_S's six rows in dimension 4 cut out C(7, 3) = 35 lines,
+    one candidate direction each; the rays are the 8 vertices."""
+    seen, plain = [], fanokit.polyhedra._ray_candidates
+
+    def counted(dim, normals):
+        seen.append(len(lines := plain(dim, normals)))
+        return lines
+
+    monkeypatch.setattr("fanokit.polyhedra._ray_candidates", counted)
+    rows, rays = homogenized_cone(build_qs(hex_scaffolding()))
+    assert (len(rows), seen, len(rays)) == (6, [35], 8)
 
 
 def test_normal_fan_cube():
