@@ -10,15 +10,19 @@ Polygon is the one polygon type: validate_fano returns one with int
 vertices, polar one with Fraction vertices, and the invariants below accept
 either.  Vertices are stored counterclockwise starting from the
 lexicographically least vertex, so equal polygons compare equal structurally.
+
+The invariants are closed forms on ints.  The cone over an edge u -> v has
+index r = det(u, v) and type 1/r(1, det(w, v)) for any w with det(u, w) = 1;
+the volume and the barycenter scale the vertices to ints over the lcm of
+their denominators and build one Fraction per output number.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonPrimitiveVertex, NotConvex, OriginNotInterior, Record
-from .linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, snf, vec_sub
 from .polyhedra import halfspaces, integer_points
 
 
@@ -83,8 +87,7 @@ def validate_fano(points):
         if v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
             raise NonPrimitiveVertex(f"vertex {v} is not primitive")
     for a, b in zip(hull, hull[1:] + hull[:1]):
-        # origin strictly left of each directed edge
-        if _cross(vec_sub(b, a), vec_sub((0, 0), a)) <= 0:
+        if _cross(a, b) <= 0:  # origin strictly left of each directed edge
             raise OriginNotInterior("origin is not strictly interior")
     return Polygon(_canonical_cycle(list(hull)))
 
@@ -144,24 +147,24 @@ class SingularityRecord(Record):
 def edge_singularity(P, i):
     """Singularity data of the cone over edge i of a Fano polygon.
 
-    The Smith form S = U (u v) V of the primitive edge rays gives the index
-    r = S[1][1] and the action 1/r(V[0][1], V[1][1]) on the chart, as in
-    cox.chart_analysis; scaling by the inverse of V[0][1] gives 1/r(1,a).
-    l is the lattice length of the edge, h its lattice height over the
-    origin, and the edge carries m = floor(l/h) primitive T-cones with
-    residue l mod h.
+    The index is r = det(u, v) > 0 for counterclockwise rays u, v.  One
+    modular inverse gives w with det(u, w) = 1; in the basis (u, w) the cone
+    is spanned by (1, 0) and (-det(w, v), r), so it is 1/r(1, a) with
+    a = det(w, v) mod r.  l is the lattice length of the edge, h = r / l its
+    lattice height over the origin, and the edge carries m = floor(l/h)
+    primitive T-cones with residue l mod h.
     """
     u, v = P.edges()[i]
-    S, _, V = snf(((u[0], v[0]), (u[1], v[1])))
-    r = S[1][1]
-    quot = CyclicQuotient2D.normalised(r, V[1][1] * pow(V[0][1], -1, r) % r)
-    d = vec_sub(v, u)
-    length = gcd(abs(d[0]), abs(d[1]))
-    n = primitive((d[1], -d[0]))
-    h = n[0] * u[0] + n[1] * u[1]
-    if h < 0:
-        h = -h
-    return SingularityRecord(i, quot, length, h, length // h, length % h)
+    r = _cross(u, v)
+    if u[0]:
+        w0 = -pow(u[1], -1, abs(u[0]))
+        w = (w0, (1 + u[1] * w0) // u[0])
+    else:
+        w = (-u[1], 0)
+    length = gcd(v[0] - u[0], v[1] - u[1])
+    h = r // length
+    return SingularityRecord(i, CyclicQuotient2D.normalised(r, _cross(w, v)), length, h,
+                             length // h, length % h)
 
 
 def singularity_report(P):
@@ -196,86 +199,83 @@ def polar(Q):
         if d <= 0:
             raise OriginNotInterior("polar needs the origin strictly interior")
         # solve <m,u> = -1, <m,v> = -1
-        m = (Fraction(-(v[1] - u[1]), 1) / d, Fraction(v[0] - u[0], 1) / d)
-        verts.append(m)
+        verts.append((Fraction(u[1] - v[1], d), Fraction(v[0] - u[0], d)))
     return Polygon(_canonical_cycle(verts))
+
+
+def _fan_sums(Q):
+    """(L, sum c, sum c (x + x'), sum c (y + y')) over the edges (x, y) -> (x', y')
+    of L Q, c their cross products, L the lcm of the vertex denominators."""
+    L = lcm(*(c.denominator for p in Q.vertices for c in p))
+    pts = [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+           for x, y in Q.vertices]
+    area2 = cx = cy = 0
+    for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        c = x * y1 - y * x1
+        area2 += c
+        cx += c * (x + x1)
+        cy += c * (y + y1)
+    return L, area2, cx, cy
 
 
 def normalized_volume(Q):
     """Twice the Euclidean area, exact (shoelace over the origin fan)."""
-    total = Fraction(0)
-    for u, v in Q.edges():
-        total += _cross(u, v)
-    return abs(total)
+    L, area2, _, _ = _fan_sums(Q)
+    return Fraction(abs(area2), L * L)
 
 
 def barycenter(Q):
-    """Exact centroid, by triangulating from the first vertex."""
-    v0 = Q.vertices[0]
-    area2 = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for i in range(1, len(Q.vertices) - 1):
-        a = vec_sub(Q.vertices[i], v0)
-        b = vec_sub(Q.vertices[i + 1], v0)
-        w = _cross(a, b)
-        area2 += w
-        cx += w * (v0[0] + Q.vertices[i][0] + Q.vertices[i + 1][0])
-        cy += w * (v0[1] + Q.vertices[i][1] + Q.vertices[i + 1][1])
-    return (cx / (3 * area2), cy / (3 * area2))
+    """Exact centroid, from the triangles of the origin fan."""
+    L, area2, cx, cy = _fan_sums(Q)
+    return (Fraction(cx, 3 * area2 * L), Fraction(cy, 3 * area2 * L))
 
 
 def lattice_symmetries(P):
     """All g in GL2(Z) with g(P) = P, by mapping one vertex-edge flag to all.
 
     The first two vertices are linearly independent, so each candidate image
-    flag determines at most one integral matrix; candidates are kept when
-    they permute the vertex set.
+    flag (w, w') determines at most one integral matrix g = (w w') adj(v v') / d
+    with d = det(v, v'); candidates are kept when they permute the vertex set.
     """
-    verts = list(P.vertices)
-    v0, v1 = verts[0], verts[1]
-    B = ((v0[0], v1[0]), (v0[1], v1[1]))
-    d = _cross(v0, v1)
+    verts = P.vertices
+    (a, b), (c, e) = verts[0], verts[1]
+    d = a * e - b * c
     vset = set(verts)
     n = len(verts)
-    found = []
+    found = set()
     for j in range(n):
         for step in (1, -1):
-            w0 = verts[j]
-            w1 = verts[(j + step) % n]
-            C = ((w0[0], w1[0]), (w0[1], w1[1]))
-            # g B = C  =>  g = C adj(B) / det(B)
-            adj = ((B[1][1], -B[0][1]), (-B[1][0], B[0][0]))
-            num = mat_mul(C, adj)
-            if any(x % d for row in num for x in row):
+            (p, q), (s, t) = verts[j], verts[(j + step) % n]
+            g00, g01, g10, g11 = p * e - s * b, s * a - p * c, q * e - t * b, t * a - q * c
+            if g00 % d or g01 % d or g10 % d or g11 % d:
                 continue
-            g = tuple(tuple(x // d for x in row) for row in num)
-            if g[0][0] * g[1][1] - g[0][1] * g[1][0] not in (1, -1):
-                continue
-            if {mat_vec(g, v) for v in verts} == vset:
-                found.append(g)
-    uniq = sorted(set(found))
+            g00, g01, g10, g11 = g00 // d, g01 // d, g10 // d, g11 // d
+            if g00 * g11 - g01 * g10 in (1, -1) and {
+                    (g00 * x + g01 * y, g10 * x + g11 * y) for x, y in verts} == vset:
+                found.add(((g00, g01), (g10, g11)))
     # group sanity: closed under composition and inverse
-    for g in uniq:
-        if tuple(map(tuple, inverse_unimodular(g))) not in uniq:
+    for (g00, g01), (g10, g11) in found:
+        k = g00 * g11 - g01 * g10
+        if ((k * g11, -k * g01), (-k * g10, k * g00)) not in found:
             raise AssertionError("symmetries not closed under inverse")
-        for h in uniq:
-            if mat_mul(g, h) not in uniq:
+        for (h00, h01), (h10, h11) in found:
+            if ((g00 * h00 + g01 * h10, g00 * h01 + g01 * h11),
+                    (g10 * h00 + g11 * h10, g10 * h01 + g11 * h11)) not in found:
                 raise AssertionError("symmetries not closed under composition")
-    if identity(2) not in uniq:
+    if ((1, 0), (0, 1)) not in found:
         raise AssertionError("identity missing from the symmetries")
-    return tuple(uniq)
+    return tuple(sorted(found))
 
 
 def lattice_points(P):
     """All lattice points of the polygon, lexicographically sorted.
 
     Each counterclockwise edge a -> b keeps the points p on its left,
-    <(a_y - b_y, b_x - a_x), p> >= cross(b - a, a).
+    <(a_y - b_y, b_x - a_x), p> >= cross(b, a).
     """
     edges = P.edges()
     normals = [(a[1] - b[1], b[0] - a[0]) for a, b in edges]
-    bounds = [_cross(vec_sub(b, a), a) for a, b in edges]
+    bounds = [_cross(b, a) for a, b in edges]
     return integer_points(halfspaces(2, normals, bounds))
 
 
@@ -284,6 +284,6 @@ def classify_lattice_point(P, p):
     if p in P.vertices:
         return "vertex"
     for a, b in P.edges():
-        if _cross(vec_sub(b, a), vec_sub(p, a)) == 0:
+        if _cross(a, b) + _cross(b, p) + _cross(p, a) == 0:
             return "edge"
     return "interior"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from fanokit.linalg import mat_mul, mat_vec, primitive, vec_sub
+from fanokit.linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, vec_sub
 from fanokit.polygon import (
     CyclicQuotient2D,
     SingularityRecord,
@@ -362,7 +362,7 @@ def fano_polygons(draw):
 @settings(max_examples=200, deadline=None)
 @given(P=fano_polygons(), word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=12))
 def test_singularity_report_matches_the_reference(P, word):
-    """The Smith-form quotient of each edge equals the one read off after
+    """The closed-form quotient of each edge equals the one read off after
     sending the first ray to (0, 1), on random Fano polygons and their
     GL2(Z) images."""
     g = reduce(mat_mul, word, ((1, 0), (0, 1)))
@@ -371,3 +371,74 @@ def test_singularity_report_matches_the_reference(P, word):
         assert singularity_report(Q) == tuple(
             reference_edge_singularity(Q, i) for i in range(n)
         )
+
+
+def reference_normalized_volume(Q):
+    """Twice the Euclidean area, by a Fraction shoelace over the origin fan."""
+    total = Fraction(0)
+    for u, v in Q.edges():
+        total += _cross(u, v)
+    return abs(total)
+
+
+def reference_barycenter(Q):
+    """Exact centroid, by a Fraction triangulation from the first vertex."""
+    v0 = Q.vertices[0]
+    area2 = Fraction(0)
+    cx = Fraction(0)
+    cy = Fraction(0)
+    for i in range(1, len(Q.vertices) - 1):
+        a = vec_sub(Q.vertices[i], v0)
+        b = vec_sub(Q.vertices[i + 1], v0)
+        w = _cross(a, b)
+        area2 += w
+        cx += w * (v0[0] + Q.vertices[i][0] + Q.vertices[i + 1][0])
+        cy += w * (v0[1] + Q.vertices[i][1] + Q.vertices[i + 1][1])
+    return (cx / (3 * area2), cy / (3 * area2))
+
+
+def reference_lattice_symmetries(P):
+    """The flag-mapping candidates of lattice_symmetries, by generic matrix calls."""
+    verts = list(P.vertices)
+    v0, v1 = verts[0], verts[1]
+    B = ((v0[0], v1[0]), (v0[1], v1[1]))
+    d = _cross(v0, v1)
+    vset = set(verts)
+    n = len(verts)
+    found = []
+    for j in range(n):
+        for step in (1, -1):
+            w0 = verts[j]
+            w1 = verts[(j + step) % n]
+            C = ((w0[0], w1[0]), (w0[1], w1[1]))
+            # g B = C  =>  g = C adj(B) / det(B)
+            adj = ((B[1][1], -B[0][1]), (-B[1][0], B[0][0]))
+            num = mat_mul(C, adj)
+            if any(x % d for row in num for x in row):
+                continue
+            g = tuple(tuple(x // d for x in row) for row in num)
+            if g[0][0] * g[1][1] - g[0][1] * g[1][0] not in (1, -1):
+                continue
+            if {mat_vec(g, v) for v in verts} == vset:
+                found.append(g)
+    uniq = sorted(set(found))
+    for g in uniq:
+        assert tuple(map(tuple, inverse_unimodular(g))) in uniq
+        assert all(mat_mul(g, h) in uniq for h in uniq)
+    assert identity(2) in uniq
+    return tuple(uniq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=fano_polygons(), word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=12))
+def test_integer_invariants_match_the_references(P, word):
+    """The volume and the barycenter on ints over the lcm of the denominators,
+    and the inline symmetry products, equal their Fraction and matrix
+    references on random Fano polygons, their GL2(Z) images and their polars
+    (which have Fraction vertices)."""
+    g = reduce(mat_mul, word, ((1, 0), (0, 1)))
+    for Q in (P, validate_fano([mat_vec(g, v) for v in P.vertices])):
+        assert lattice_symmetries(Q) == reference_lattice_symmetries(Q)
+        for R in (Q, polar(Q)):
+            assert normalized_volume(R) == reference_normalized_volume(R)
+            assert barycenter(R) == reference_barycenter(R)
