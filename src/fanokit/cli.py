@@ -230,15 +230,13 @@ def build_parser():
 
 
 def _dispatch(args):
-    """Return (report dict, text lines, exit code)."""
+    """Return (report dict, exit code)."""
     data, provenance = _load_input(args)
     code = 0
     if args.command == "polygon":
         report = run_polygon(data)
-        lines = _polygon_text(report)
     elif args.command == "scaffold":
         report = run_scaffold(data, check_hull=args.check_hull)
-        lines = _scaffold_text(report)
     else:
         if args.mode == "classical":
             report = run_classical(
@@ -254,9 +252,8 @@ def _dispatch(args):
                 data, args.order, assignments=_parse_assignments(args.assign)
             )
             code = 0 if report["equal"] else 4
-        lines = _periods_text(args.mode, report)
     report["provenance"] = provenance
-    return report, lines, code
+    return report, code
 
 
 def main(argv=None):
@@ -264,11 +261,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report, lines, code = _dispatch(args)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        report, code = _dispatch(args)
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
+            lines = (_polygon_text(report) if args.command == "polygon"
+                     else _scaffold_text(report) if args.command == "scaffold"
+                     else _periods_text(args.mode, report))
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
             text = "\n".join(lines + [f"elapsed: {elapsed_ms:.1f} ms"]) + "\n"
     except (InputError, MathError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

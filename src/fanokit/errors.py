@@ -76,7 +76,10 @@ def json_ints(value, what, length=None):
     json_list(value, what)
     if length is not None and len(value) != length:
         raise SchemaError(f"{what} must have {length} entries, got {value!r}")
-    return tuple(json_int(v, what) for v in value)
+    for v in value:
+        if type(v) is not int:
+            json_int(v, what)
+    return tuple(value)
 
 
 class Record:

@@ -12,22 +12,25 @@ f^1 .. f^J, J = ceil(K/2), give every constant term through t^K, two powers
 held at a time.  Each power is a set of rows of packed fields:
 
 * Frame.  A unimodular change of exponents, which keeps the period, makes
-  the field axis x run along a primitive difference of two exponents with
-  the fewest lines along it, so every power fills whole runs of fields.  If
+  the field axis x run along a primitive difference v of two exponents with
+  the fewest lines along it (two exponents share a line when their 2 x 2
+  minors with v agree), so every power fills whole runs of fields.  If
   f's terms lie far apart along that axis, so that rows would hold mostly
   zero fields, a zero axis goes in front instead and each row is one field.
 * Rows.  Each ParamPoly coefficient c(a) of x^e is flattened into its terms
   q * x^e * a^alpha, scaled to ints by the lcm D of every denominator
-  (const(f^k) = const((D f)^k) / D^k).  A power maps a row key, the other
-  coordinates and alpha packed in balanced base 2R + 1 (R = K times their
-  largest size in f: injective and linear), to [lo, row], where the
-  coefficient of x^(lo + i) is the signed field i of w bits of the int row.
+  (const(f^k) = const((D f)^k) / D^k) as numerator * (D / denominator).
+  A power maps a row key, the other coordinates and alpha packed in
+  balanced base 2R + 1 (R = K times their largest size in f: injective and
+  linear), to [lo, row], where the coefficient of x^(lo + i) is the signed
+  field i of w bits of the int row.
   w is a multiple of 64 above bit_length(L^J), L = sum |D c|, so every
   field, partial sums included, is below 2^(w-1) in size.  A step adds
   row * G, one C multiply-add, for each group G of f's terms sharing a key.
 * Prune.  x^e in f^j is kept only if -l(e) <= (K - j) * h_l, h_l = max l
   over the support of f, for each functional l (the Newton polygon's edge
-  normals in dimension 2, else the +-unit vectors): a kept term of f^j
+  normals in dimension 2, their extremes read off its vertices, else the
+  +-unit vectors, off one coordinate each): a kept term of f^j
   needs only kept terms of f^(j-1).  A rounding shift below and a balanced
   mask above cut a row to its x range.  If some h_l < 0 the origin is
   outside Newt(f) and every coefficient after the first is 0.
@@ -38,12 +41,17 @@ held at a time.  Each power is a set of rows of packed fields:
   row -r of f^b reversed, parameter parts adding, if their x ranges can meet
   (a group's rows are sorted by start): one slice and one sum(map(mul, ...))
   per row pair.  f^J keeps only rows that meet a row of f^(J-1) or of f^J.
+  Each coefficient is one Fraction per parameter monomial, put into a
+  ParamPoly with no check beyond dropping zeros.
 * Budget.  The work, rows x fields x w over the J powers, is at most J * w
   times bounds on f^J, found before the first power: its rows (monomials
   of degree J in f's row keys, or its parameter exponents times its lines)
   and the fields of a row (J times the longest chord of Newt(f) along x,
   plus 1), w from J * bit_length(L).  Over MAX_FIELD_BITS it raises
   WorkBudgetExceeded.
+
+laurent_from_json and specialize, like the kernel's output, build the
+polynomial from terms they have checked or made, dropping only zeros.
 
 edge_binomial_skeleton builds the standard coefficient pattern on a Fano
 polygon: 1 at vertices, binomial(l, j) at the j-th interior lattice point of
@@ -57,11 +65,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm, prod
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from sys import byteorder
 
 from .errors import SchemaError, WorkBudgetExceeded, json_ints, json_list
-from .linalg import det, identity, is_unimodular, mat_vec, primitive, snf, transpose, vec_sub
+from .linalg import det, identity, is_unimodular, mat_vec, snf, transpose, vec_sub
 from .polygon import classify_lattice_point, convex_hull, lattice_points
 from .series import PowerSeries
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
@@ -94,10 +102,11 @@ class LaurentPolynomial(SparsePoly):
         return self.terms.get((0,) * self.dim, Fraction(0))
 
     def specialize(self, assignments):
-        return LaurentPolynomial(
+        terms = ((e, coeff_substitute(c, assignments)) for e, c in self.terms.items())
+        return LaurentPolynomial._trusted(
+            {e: c for e, c in terms if c},
             self.dim,
             tuple(p for p in self.params if p not in assignments),
-            {e: coeff_substitute(c, assignments) for e, c in self.terms.items()},
         )
 
     def monomial_substitution(self, g):
@@ -123,22 +132,29 @@ class LaurentPolynomial(SparsePoly):
 def _support_bounds(support, hull):
     """(l, max of l, min of l) over ``support`` for each pruning functional l: the
     edge normals of ``hull``, its counterclockwise hull or (), else or for a
-    flat hull the +-unit vectors."""
-    dim = len(support[0]) if support else 0
+    flat hull the +-unit vectors.  A linear l takes its extremes at vertices
+    of the hull, and a unit vector's are those of a coordinate."""
     ls = [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1])]
+    out = [(l, max(v), min(v)) for l in ls for v in ([l[0] * x + l[1] * y for x, y in hull],)]
     if len(hull) < 3 and support:
-        ls += [tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1)]
-    return [(l, max(v), min(v)) for l in ls for v in ([sum(map(mul, l, e)) for e in support],)]
+        for u, c in zip(identity(len(support[0])), zip(*support)):
+            out += [(u, max(c), min(c)), (tuple(map(neg, u)), -min(c), -max(c))]
+    return out
 
 
 def _flat_terms(f):
     """(e + alpha, q) for the terms q * x^e * a^alpha of f, alpha over f.params."""
+    zeros = (0,) * len(f.params)
     for e, c in f.terms.items():
-        names, terms = (c.params, c.terms) if isinstance(c, ParamPoly) else ((), {(): c})
-        for p in set(names) - set(f.params):
-            raise ValueError(f"coefficient parameter {p!r} is not in {list(f.params)}")
-        for a, q in terms.items():
-            yield e + tuple(map(dict(zip(names, a)).get, f.params, repeat(0))), Fraction(q)
+        if not isinstance(c, ParamPoly):
+            yield e + zeros, c if isinstance(c, Fraction) else Fraction(c)
+            continue
+        if (names := c.params) != f.params:
+            for p in set(names) - set(f.params):
+                raise ValueError(f"coefficient parameter {p!r} is not in {list(f.params)}")
+        for a, q in c.terms.items():  # a ParamPoly's coefficients are Fractions
+            yield e + (a if names == f.params else tuple(
+                map(dict(zip(names, a)).get, f.params, repeat(0)))), q
 
 
 def _chord(hull):
@@ -164,32 +180,33 @@ def _row_frame(f, flat, half):
     v is the primitive difference of two exponents (a hull edge in dimension
     2, else a unit vector or one of the eight shortest differences from the
     least exponent) with the fewest lines along it through the support, told
-    apart by n with n(v) = 0, shorter v first; the candidates are few, so
-    this is linear in the support.  A zero axis replaces v when it costs less
-    work, rows x groups x (ROW_FIELDS + fields x width), a step multiplying
-    each row by each group of f and the fields of a row estimated as half
-    times the widest group.  Rows are at most the monomials of degree
-    ``half`` in f's row keys, and at most its parameter exponents times the
-    fewer of the monomials of degree ``half`` in f's lines and the box of
-    the rest coordinates.  A row of f^half lies in half * Newt(f), so it
+    apart by their 2 x 2 minors with v, shorter v first; the candidates are
+    few, so this is linear in the support.  A zero axis replaces v when it
+    costs less work, rows x groups x (ROW_FIELDS + fields x width), a step
+    multiplying each row by each group of f and the fields of a row
+    estimated as half times the widest group.  Rows are at most the
+    monomials of degree ``half`` in f's row keys, and at most its parameter
+    exponents times the fewer of the monomials of degree ``half`` in f's
+    lines and the box of the rest coordinates.  A row of f^half lies in half * Newt(f), so it
     spans at most half times the longest chord of Newt(f) along v (in
     dimension 2; else along x), plus 1."""
     support, dim = list(f.terms), f.dim
     hull = convex_hull(support) if dim == 2 else ()
-    cands = {max(v, tuple(map(neg, v))) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
-             for v in (primitive(vec_sub(b, a)),)}
+    cands = {max(v, (-v[0], -v[1])) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
+             for g in (gcd(b[0] - a[0], b[1] - a[1]),)
+             for v in (((b[0] - a[0]) // g, (b[1] - a[1]) // g),)}
     if dim != 2:
         low = min(support)
         cands = set(identity(dim)) | set(sorted(
             (v for s in support if s != low and gcd(*(v := vec_sub(s, low))) == 1),
             key=lambda v: (sum(map(abs, v)), v))[:8])
-    big = 4 * max((abs(c) for s in support for c in s), default=0) + 1
+    cols = list(zip(*support))
 
-    def lines(v):
-        p = next(i for i, c in enumerate(v) if c)
-        n = [v[p] * (big * max(map(abs, v))) ** i for i in range(dim)]
-        n[p] -= sum(map(mul, v, n)) // v[p]
-        return len({sum(map(mul, s, n)) for s in support}), sum(map(abs, v)), tuple(map(neg, v))
+    def lines(v):  # s - s' is in Z v, for a primitive v, when their minors agree
+        p = v.index(next(filter(None, v)))
+        minors = zip(*(map(sub, map(v[p].__mul__, c), map(k.__mul__, cols[p]))
+                       for k, c in zip(v, cols)))
+        return len(set(minors)), sum(map(abs, v)), tuple(map(neg, v))
 
     top = max((sum(e[dim:]) for e, _ in flat), default=0)
     pbox = comb(half * top + len(f.params), half * top)
@@ -197,24 +214,24 @@ def _row_frame(f, flat, half):
     def rows(keys, nlines, exts):
         return min(comb(half + keys - 1, half), pbox * min(
             comb(half + nlines - 1, half), prod(half * x + 1 for x in exts)))
-    zero = rows(len(flat), len(support), [max(c) - min(c) for c in zip(*support)])
+    zero = rows(len(flat), len(support), [max(c) - min(c) for c in cols])
     if not cands:
         return {e: (0,) + e for e in support}, zero, 1, ()
-    if (v := min(cands, key=lines)) == identity(dim)[0]:
-        U = identity(dim)
-    else:
+    nlines, _, v = min(map(lines, cands))  # lines() ends with -v, the tie-break
+    if turned := (v := tuple(map(neg, v))) != (1,) + (0,) * (dim - 1):
         _, U, V = snf(transpose([v]))
         U = [tuple(V[0][0] * c for c in U[0])] + list(U[1:])
-    cols = [[sum(map(mul, r, e)) for e in support] for r in U]
+        cols = [[sum(map(mul, r, e)) for e in support] for r in U]
     img, groups = dict(zip(support, zip(*cols))), {}
     for e, _ in flat:
-        groups.setdefault(img[e[:dim]][1:] + e[dim:], []).append(img[e[:dim]][0])
+        u = img[e[:dim]]
+        groups.setdefault(u[1:] + e[dim:], []).append(u[0])
     width = max(max(xs) - min(xs) for xs in groups.values())
-    n = rows(len(groups), lines(v)[0], [max(c) - min(c) for c in cols[1:]])
+    n = rows(len(groups), nlines, [max(c) - min(c) for c in cols[1:]])
     if zero * len(flat) * (ROW_FIELDS + 1) < n * len(groups) * (
             ROW_FIELDS + (half * width + 1) * (width + 1)):
         return {e: (0,) + e for e in support}, zero, 1, ()
-    if hull:  # its image under U, kept counterclockwise from the least point
+    if hull and turned:  # its image under U, kept counterclockwise from the least point
         hull = [img[e] for e in hull][:: 1 if len(hull) < 3 or det(U) > 0 else -1]
         hull = tuple(hull[(i := hull.index(min(hull))) :] + hull[:i])
     chord = _chord(hull) if hull else max(cols[0]) - min(cols[0])
@@ -310,10 +327,10 @@ def classical_period(f, order):
     if not flat:
         return PowerSeries(order, coeffs)
     frame, max_rows, max_fields, hull = _row_frame(f, flat, half)
-    flat = [(frame[e[: f.dim]] + e[f.dim :], q) for e, q in flat]
-    dim, scale = len(flat[0][0]) - len(f.params), lcm(*(q.denominator for _, q in flat))
-    flat = [(e, int(q * scale)) for e, q in flat]
-    bounds = _support_bounds(list(frame.values()), hull)
+    scale = lcm(*(q.denominator for _, q in flat))
+    flat = [(frame[e[: f.dim]] + e[f.dim :], q.numerator * (scale // q.denominator))
+            for e, q in flat]
+    dim, bounds = len(flat[0][0]) - len(f.params), _support_bounds(list(frame.values()), hull)
     if any(h < 0 for _, h, _ in bounds):
         return PowerSeries(order, coeffs)
     size = sum(abs(c) for _, c in flat)  # every |field| is at most size**half
@@ -324,12 +341,14 @@ def classical_period(f, order):
     w = 64 * ((size**half).bit_length() // 64 + 1)  # exact, now that the budget bounds half
     base = 2 * max(order * max((abs(k) for e, _ in flat for k in e[1:]), default=0), 1) + 1
     mod, rows = base ** (dim - 1), {}
+    digits = [base**i for i in range(dim - 1 + len(f.params))]
     for e, c in flat:
-        rows.setdefault(sum(k * base**i for i, k in enumerate(e[1:])), []).append((e[0], c))
-    groups = [(dr, min(ts)[0], sum(c << w * (x - min(ts)[0]) for x, c in ts))
-              for dr, ts in rows.items()]
-    rest_part = (lambda k: (k + mod // 2) % mod - mod // 2) if f.params else (lambda k: k)
-    digits = [base**i for i in range(dim - 1, dim - 1 + len(f.params))]
+        rows.setdefault(sum(map(mul, e[1:], digits)), []).append((e[0], c))
+    groups = [(dr, lo, sum([c << w * (x - lo) for x, c in ts]))
+              for dr, ts in rows.items() for lo in (min(ts)[0],)]
+    off = mod // 2
+    rest_part = (lambda k: (k + off) % mod - off) if f.params else (lambda k: k)
+    digits = digits[dim - 1 :]
 
     def cuts(room, memo):  # k -> the x range of row k in the pruned region, by rest part
         def cut(k):
@@ -346,17 +365,17 @@ def classical_period(f, order):
     def emit(sums, k):
         if not f.params:
             return Fraction(sums.get(0, 0), scale**k)
-        out = ParamPoly(f.params, {tuple(s // d % base for d in digits): Fraction(c, scale**k)
-                                   for s, c in sums.items()})
-        return out if out.terms else Fraction(0)
+        d = scale**k
+        out = {tuple([s // t % base for t in digits]): Fraction(c, d) for s, c in sums.items() if c}
+        return ParamPoly._trusted(out, f.params) if out else Fraction(0)
 
     power, prev = {0: [0, 1]}, {0: ([(0, 0, 0, (1,), (1,))], None, 0)}  # f^0, decoded
     for j in range(1, half + 1):  # the last power only pairs, so it is not pruned
         prune = j < half and any(-j * low > (order - j) * h for _, h, low in bounds)
         power = _row_step(power, groups, w, prune and cuts(order - j, {}))
         if j == half:  # then a row meets only rows of f^(j-1) and of f^j
-            near = {*prev, *map(rest_part, power)}
-            power = {k: r for k, r in power.items() if -rest_part(k) in near}
+            near = {*prev, *(rps := list(map(rest_part, power)))}
+            power = {k: r for (k, r), rp in zip(power.items(), rps) if -rp in near}
         cur = _decoded(power, w, rest_part)
         for k, low in ((2 * j - 1, prev), (2 * j, cur)):
             if k <= order:
@@ -423,7 +442,7 @@ def laurent_from_json(data):
             raise SchemaError(str(err)) from None
     if dim is None:
         raise SchemaError("empty Laurent polynomial")
-    return LaurentPolynomial(dim, params, terms)
+    return LaurentPolynomial._trusted({e: c for e, c in terms.items() if c}, dim, params)
 
 
 def laurent_to_json(f):

@@ -48,6 +48,7 @@ from .scaffolding import (
     variable_names,
 )
 from .series import first_mismatch
+from .symbolic import parse_rational
 
 
 def _num(x):
@@ -225,19 +226,15 @@ def _laurent_stage(data, assignments=None):
     """Input JSON (bare or composite) -> Laurent polynomial, specialized."""
     if not isinstance(data, dict):
         raise SchemaError("periods input must be a JSON object")
-    sub = data.get("laurent", data)
-    f = laurent_from_json(sub)
-    merged = {}
+    f = laurent_from_json(data.get("laurent", data))
     assign = data.get("assign", {})
     if not isinstance(assign, dict):
         raise SchemaError(f"'assign' must be an object, got {assign!r}")
-    merged.update(assign)
-    merged.update(assignments or {})
-    if merged:
+    if merged := {**assign, **(assignments or {})}:
         values = {}
         for k, v in merged.items():
             try:
-                values[str(k)] = Fraction(str(v))
+                values[str(k)] = parse_rational(str(v))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"bad assignment value {v!r} for {k}") from None
         unknown = set(values) - set(f.params)

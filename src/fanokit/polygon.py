@@ -36,7 +36,7 @@ def convex_hull(points):
     Collinear and repeated points are dropped; the first vertex is the
     lexicographically least.  Works for int or Fraction coordinates.
     """
-    pts = sorted(set(tuple(p) for p in points))
+    pts = sorted(set(map(tuple, points)))
     if len(pts) <= 2:
         return tuple(pts)
 

@@ -15,8 +15,11 @@ coefficients without special cases.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Rational
+
+from .errors import WorkBudgetExceeded
 
 
 def _as_fraction(x):
@@ -53,9 +56,19 @@ class SparsePoly(Frozen):
             e = tuple(map(int, e))
             if len(e) != arity:
                 raise ValueError(f"exponent arity does not match {axes}")
-            if c != 0:
+            if c:
                 clean[e] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms, *fields):
+        """An instance over ``terms`` as given, with ``fields`` for the slots
+        before ``terms``: for term maps built here, on int exponent tuples of
+        the right arity with no zero coefficient, so nothing is checked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (*fields, terms)):
+            object.__setattr__(self, name, value)
+        return self
 
     def _product_terms(self, other):
         """Term map of self * other; exponents add, coefficients multiply."""
@@ -77,19 +90,19 @@ def terms_str(items, names):
     """
     parts = []
     for e, c in items:
-        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k > 0)
+        mono = "*".join([name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k > 0])
+        cs = str(c)
         if isinstance(c, ParamPoly) and not c.is_constant():
-            cs = str(c)
             cs = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         elif not mono:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(cs)
+        elif cs == "1":  # str(c) is "1" or "-1" exactly when c is 1 or -1
             parts.append(mono)
-        elif c == -1:
+        elif cs == "-1":
             parts.append(f"-{mono}")
         else:
-            parts.append(f"{c}*{mono}")
+            parts.append(f"{cs}*{mono}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
@@ -116,12 +129,15 @@ class ParamPoly(SparsePoly):
         e = tuple(1 if p == name else 0 for p in params)
         if sum(e) != 1:
             raise ValueError(f"unknown parameter {name!r}")
-        return cls(params, {e: Fraction(1)})
+        return cls._trusted({e: Fraction(1)}, params)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(all(k == 0 for k in e) for e in self.terms)
@@ -203,25 +219,26 @@ class ParamPoly(SparsePoly):
         Returns a ParamPoly in the remaining parameters (possibly constant).
         """
         assignments = {k: _as_fraction(v) for k, v in assignments.items()}
-        unknown = set(assignments) - set(self.params)
+        unknown = assignments.keys() - set(self.params)
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")
-        keep = [i for i, p in enumerate(self.params) if p not in assignments]
+        values = [assignments.get(p) for p in self.params]
+        keep = [i for i, v in enumerate(values) if v is None]
         out = {}
         for e, c in self.terms.items():
-            val = c
-            for i, p in enumerate(self.params):
-                if e[i] and p in assignments:
-                    val *= assignments[p] ** e[i]
-            key = tuple(e[i] for i in keep)
-            out[key] = out.get(key, Fraction(0)) + val
-        return ParamPoly(tuple(self.params[i] for i in keep), out)
+            for v, k in zip(values, e):
+                if k and v is not None:
+                    c *= v if k == 1 else v**k
+            key = tuple([e[i] for i in keep])
+            out[key] = out[key] + c if key in out else c
+        return ParamPoly._trusted(
+            {e: c for e, c in out.items() if c}, tuple(self.params[i] for i in keep)
+        )
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        order = sorted(self.terms, reverse=True)
-        return terms_str(((e, self.terms[e]) for e in order), self.params)
+        return terms_str(sorted(self.terms.items(), reverse=True), self.params)
 
     __repr__ = __str__
 
@@ -234,13 +251,35 @@ def coeff_substitute(c, assignments):
     return _as_fraction(c)
 
 
+def parse_rational(text):
+    """Fraction(text), except that a decimal exponent past Python's int-string
+    limit raises WorkBudgetExceeded before 10**exponent is built."""
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in ("-", "+") else num).isdecimal() and (
+            not slash or den.isdecimal()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    limit, (_, e, exp) = sys.get_int_max_str_digits(), text.lower().rpartition("e")
+    try:
+        if e and 0 < limit < abs(int(exp)):
+            raise WorkBudgetExceeded(
+                f"a decimal exponent past {limit}, Python's limit for int-string conversion")
+    except ValueError:  # no exponent there: Fraction(text) decides
+        pass
+    return Fraction(text)
+
+
 def parse_coeff(text, params):
-    """Parse a JSON coefficient string: a rational literal or a parameter name."""
+    """Parse a JSON coefficient string: a parameter name, or a rational literal
+    as Fraction reads it, an optionally signed integer, p/q or a decimal with
+    an optional exponent (``-3``, ``3/4``, ``1e3``, ``-2.5e-2``).  A decimal
+    exponent past Python's int-string limit (``sys.get_int_max_str_digits()``,
+    4300 by default) raises WorkBudgetExceeded at once; other text that is
+    not a rational raises ValueError."""
     text = str(text).strip()
     if text in params:
         return ParamPoly.variable(text, params)
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         raise ValueError(f"cannot parse coefficient {shown}") from None

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanokit
 import fanokit.linalg
 from fanokit.cli import build_parser, main
 
@@ -767,6 +770,46 @@ def test_numbers_past_the_int_string_limit_exit_2(capsys, tmp_path, text, argv, 
     assert code == 2 and out == ""
     assert err.startswith(f"error: {kind}: ") and needle in err and err.count("\n") == 1
     assert len(err.rstrip("\n")) <= 200 and "set_int_max_str_digits" not in err
+
+
+BIG_EXPONENT = "1e100000000"
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ({"params": [], "terms": [{"exp": [1, 0], "coeff": BIG_EXPONENT},
+                              {"exp": [-1, 0], "coeff": "1"}]}, []),
+    ("paper-f", ["--symbolic", "--assign", f"a1={BIG_EXPONENT}"]),
+    ("paper-f", ["--symbolic"]),
+], ids=["coefficient", "assign-option", "assign-json"])
+def test_a_decimal_exponent_past_the_int_string_limit_exits_2(tmp_path, doc, extra):
+    """Fraction(text) builds 10**exponent before anything can refuse it; the one
+    rational parser refuses an exponent past the limit first.  Each case runs
+    in a child process with a timeout, so a hang fails instead of stalling."""
+    if doc == "paper-f":
+        doc = fixture_json("paper-f")
+        if "--assign" not in extra:
+            doc = {"laurent": doc, "assign": {"a1": BIG_EXPONENT}}
+    infile = tmp_path / "big.json"
+    infile.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(fanokit.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanokit.cli", "periods", "classical", "--in", str(infile),
+         "--order", "4", *extra],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: WorkBudgetExceeded: a decimal exponent past {DIGITS}, "
+                           "Python's limit for int-string conversion\n")
+
+
+@pytest.mark.parametrize("value, same", [("1e3", "1000"), ("-2.5e-2", "-1/40"), ("3/4", "0.75")])
+def test_rational_assignments_stay_accepted(capsys, value, same):
+    """An exponent within the limit, a decimal and p/q read as Fraction reads them."""
+    a, b = (run_json(capsys, "periods", "classical", "--fixture", "paper-f", "--order", "4",
+                     "--symbolic", "--assign", f"a1={v}") for v in (value, same))
+    assert a["coeffs"] == b["coeffs"] and a["coeffs"][2] != "0"
 
 
 def test_other_value_errors_still_exit_5(capsys, monkeypatch):

@@ -1,9 +1,12 @@
+import json
 import random
 import time
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations_with_replacement
-from math import factorial, lcm
+from importlib import resources
+from itertools import combinations_with_replacement, repeat
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul, neg
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +15,22 @@ from hypothesis import strategies as st
 import fanokit.laurent
 from fanokit.errors import SchemaError, WorkBudgetExceeded
 from fanokit.laurent import (
+    ROW_FIELDS,
     LaurentPolynomial,
+    _chord,
     _flat_terms,
+    _row_frame,
+    _support_bounds,
     classical_period,
     edge_binomial_skeleton,
     laurent_from_json,
     laurent_to_json,
 )
-from fanokit.linalg import dot, mat_mul
+from fanokit.linalg import det, dot, identity, mat_mul, primitive, snf, transpose, vec_sub
+from fanokit.pipeline import _laurent_stage
 from fanokit.polygon import convex_hull, validate_fano
 from fanokit.series import PowerSeries
-from fanokit.symbolic import ParamPoly
+from fanokit.symbolic import ParamPoly, terms_str
 
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 
@@ -187,6 +195,9 @@ def dict_kernel_period(f, order):
     return PowerSeries(order, coeffs)
 
 
+AX = ParamPoly.variable("a", ("a",))
+
+
 def laurent(dim, terms):
     return LaurentPolynomial(dim, (), {e: Fraction(c) for e, c in terms.items()})
 
@@ -222,10 +233,15 @@ def laurent(dim, terms):
         (laurent(2, {(7, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 2, (-1, -1): 1}), 9),
         # every exponent has x-degree >= 1: all coefficients for k >= 1 are 0
         (laurent(2, {(1, -3): 1, (2, 5): -1, (1, 0): "1/2"}), 9),
+        # parameter parts of two row pairs cancel to 0, which must be dropped:
+        # a*y^2/x^2 - 1/y^2 - x - x^2/y^2 + x^2*y^2
+        (LaurentPolynomial(2, ("a",), {(-2, 2): AX, (0, -2): -1, (1, 0): -1, (2, -2): -1,
+                                       (2, 2): 1}), 4),
     ],
     ids=["dim1", "dim3", "segment", "origin-outside", "denominators", "symbolic",
          "partly-specialized", "order0", "order0-2d", "order1", "order2", "order3",
-         "order9", "order10", "dim0", "dim1-odd", "dim3-odd", "far-exponent", "one-side"],
+         "order9", "order10", "dim0", "dim1-odd", "dim3-odd", "far-exponent", "one-side",
+         "cancelling"],
 )
 def test_classical_period_matches_the_plain_power_loop(f, order):
     assert classical_period(f, order) == reference_period(f, order) == dict_kernel_period(f, order)
@@ -274,6 +290,7 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     """
     held, made, built, powers, decoded, dots, pairing = [], [], [], [], [], [], []
     plain_step, plain_init = fanokit.laurent._row_step, ParamPoly.__init__
+    plain_trusted = ParamPoly._trusted.__func__
     plain_decoded, plain_paired = fanokit.laurent._decoded, fanokit.laurent._paired
     hull = convex_hull(f.terms)
 
@@ -294,6 +311,10 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     def counting_init(self, *args):
         built.append(args)
         plain_init(self, *args)
+
+    def counting_trusted(cls, *args):  # the constructor for terms built here
+        built.append(args)
+        return plain_trusted(cls, *args)
 
     def counting_decoded(power, *args):
         decoded.append(power)
@@ -316,6 +337,7 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     expected = dict_kernel_period(f, order)
     monkeypatch.setattr("fanokit.laurent._row_step", counting_step)
     monkeypatch.setattr(ParamPoly, "__init__", counting_init)
+    monkeypatch.setattr(ParamPoly, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr("fanokit.laurent._decoded", counting_decoded)
     monkeypatch.setattr("fanokit.laurent._paired", counting_paired)
     monkeypatch.setattr(fanokit.laurent, "sum", counting_sum, raising=False)
@@ -692,3 +714,275 @@ def test_laurent_json_errors():
         laurent_from_json({"terms": [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "2"}]})
     with pytest.raises(SchemaError, match="repeated parameter 'a'"):
         laurent_from_json({"params": ["a", "a"], "terms": [{"exp": [1], "coeff": "a"}]})
+
+
+# -- the set-up around the row kernel, against references ---------------------
+#
+# Reference versions of the set-up helpers: every term scanned for each bound,
+# lines told apart by one packed functional, Fraction(text) parsing, and the
+# validating constructors.  The package's helpers must return equal values, in
+# the same order, with the same coefficient types.
+
+
+def reference_support_bounds(support, hull):
+    dim = len(support[0]) if support else 0
+    ls = [(a[1] - b[1], b[0] - a[0]) for a, b in zip(hull, hull[1:] + hull[:1])]
+    if len(hull) < 3 and support:
+        ls += [tuple(s * (j == i) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    return [(l, max(v), min(v)) for l in ls for v in ([sum(map(mul, l, e)) for e in support],)]
+
+
+def reference_flat_terms(f):
+    for e, c in f.terms.items():
+        names, terms = (c.params, c.terms) if isinstance(c, ParamPoly) else ((), {(): c})
+        for p in set(names) - set(f.params):
+            raise ValueError(f"coefficient parameter {p!r} is not in {list(f.params)}")
+        for a, q in terms.items():
+            yield e + tuple(map(dict(zip(names, a)).get, f.params, repeat(0))), Fraction(q)
+
+
+def reference_row_frame(f, flat, half):
+    support, dim = list(f.terms), f.dim
+    hull = convex_hull(support) if dim == 2 else ()
+    cands = {max(v, tuple(map(neg, v))) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
+             for v in (primitive(vec_sub(b, a)),)}
+    if dim != 2:
+        low = min(support)
+        cands = set(identity(dim)) | set(sorted(
+            (v for s in support if s != low and gcd(*(v := vec_sub(s, low))) == 1),
+            key=lambda v: (sum(map(abs, v)), v))[:8])
+    big = 4 * max((abs(c) for s in support for c in s), default=0) + 1
+
+    def lines(v):
+        p = next(i for i, c in enumerate(v) if c)
+        n = [v[p] * (big * max(map(abs, v))) ** i for i in range(dim)]
+        n[p] -= sum(map(mul, v, n)) // v[p]
+        return len({sum(map(mul, s, n)) for s in support}), sum(map(abs, v)), tuple(map(neg, v))
+
+    top = max((sum(e[dim:]) for e, _ in flat), default=0)
+    pbox = comb(half * top + len(f.params), half * top)
+
+    def rows(keys, nlines, exts):
+        return min(comb(half + keys - 1, half), pbox * min(
+            comb(half + nlines - 1, half), prod(half * x + 1 for x in exts)))
+    zero = rows(len(flat), len(support), [max(c) - min(c) for c in zip(*support)])
+    if not cands:
+        return {e: (0,) + e for e in support}, zero, 1, ()
+    if (v := min(cands, key=lines)) == identity(dim)[0]:
+        U = identity(dim)
+    else:
+        _, U, V = snf(transpose([v]))
+        U = [tuple(V[0][0] * c for c in U[0])] + list(U[1:])
+    cols = [[sum(map(mul, r, e)) for e in support] for r in U]
+    img, groups = dict(zip(support, zip(*cols))), {}
+    for e, _ in flat:
+        groups.setdefault(img[e[:dim]][1:] + e[dim:], []).append(img[e[:dim]][0])
+    width = max(max(xs) - min(xs) for xs in groups.values())
+    n = rows(len(groups), lines(v)[0], [max(c) - min(c) for c in cols[1:]])
+    if zero * len(flat) * (ROW_FIELDS + 1) < n * len(groups) * (
+            ROW_FIELDS + (half * width + 1) * (width + 1)):
+        return {e: (0,) + e for e in support}, zero, 1, ()
+    if hull:
+        hull = [img[e] for e in hull][:: 1 if len(hull) < 3 or det(U) > 0 else -1]
+        hull = tuple(hull[(i := hull.index(min(hull))) :] + hull[:i])
+    chord = _chord(hull) if hull else max(cols[0]) - min(cols[0])
+    return img, n, half * chord + 1, hull
+
+
+def reference_terms_str(items, names):
+    parts = []
+    for e, c in items:
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k > 0)
+        if isinstance(c, ParamPoly) and not c.is_constant():
+            cs = str(c)
+            cs = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
+            parts.append(f"{cs}*{mono}" if mono else cs)
+        elif not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def reference_str(p):
+    return reference_terms_str(((e, p.terms[e]) for e in sorted(p.terms, reverse=True)), p.params)
+
+
+def reference_coeff_substitute(c, assignments):
+    if not isinstance(c, ParamPoly):
+        return Fraction(c)
+    assignments = {k: Fraction(v) for k, v in assignments.items()}
+    unknown = set(assignments) - set(c.params)
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)}")
+    keep = [i for i, p in enumerate(c.params) if p not in assignments]
+    out = {}
+    for e, q in c.terms.items():
+        for i, p in enumerate(c.params):
+            if e[i] and p in assignments:
+                q *= assignments[p] ** e[i]
+        key = tuple(e[i] for i in keep)
+        out[key] = out.get(key, Fraction(0)) + q
+    out = ParamPoly(tuple(c.params[i] for i in keep), out)
+    return out.constant_value() if not out.params else out
+
+
+def reference_specialize(f, assignments):
+    return LaurentPolynomial(
+        f.dim,
+        tuple(p for p in f.params if p not in assignments),
+        {e: reference_coeff_substitute(c, assignments) for e, c in f.terms.items()},
+    )
+
+
+def reference_laurent_from_json(data):
+    if not isinstance(data, dict) or "terms" not in data:
+        raise SchemaError("laurent JSON needs a 'terms' list")
+    params = tuple(data.get("params", []))
+    terms, dim = {}, None
+    for item in data["terms"]:
+        e = tuple(item["exp"])
+        dim = len(e) if dim is None else dim
+        if len(e) != dim:
+            raise SchemaError("inconsistent exponent arity")
+        if e in terms:
+            raise SchemaError(f"repeated exponent {list(e)}")
+        text = str(item["coeff"]).strip()
+        if text in params:
+            terms[e] = ParamPoly(params, {tuple(int(p == text) for p in params): Fraction(1)})
+        else:
+            try:
+                terms[e] = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"cannot parse coefficient {text!r}") from None
+    if dim is None:
+        raise SchemaError("empty Laurent polynomial")
+    return LaurentPolynomial(dim, params, terms)
+
+
+def shape(f):
+    """Everything a Laurent polynomial holds, coefficient types and parameter
+    lists included, which its == leaves out."""
+    return f.dim, f.params, {e: (type(c), getattr(c, "params", None), getattr(c, "terms", c))
+                             for e, c in f.terms.items()}
+
+
+@st.composite
+def mixed_laurent(draw):
+    """Dimension 1-3, 0-3 parameters, Fraction and ParamPoly coefficients; a
+    ParamPoly may use a subset of the parameters in another order."""
+    dim = draw(st.integers(1, 3))
+    params = tuple(draw(st.lists(st.sampled_from(("a", "b", "c", "d")), max_size=3, unique=True)))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = {}
+    for e in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9,
+                           unique=True)):
+        if params and draw(st.booleans()):
+            names = draw(st.permutations(params))[: draw(st.integers(0, len(params)))]
+            terms[e] = ParamPoly(names, draw(st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * len(names)), rational, max_size=3)))
+        else:
+            terms[e] = draw(rational)
+    return LaurentPolynomial(dim, params, terms)
+
+
+def assert_set_up_matches(f, half):
+    flat = list(_flat_terms(f))
+    assert flat == list(reference_flat_terms(f))
+    assert all(type(q) is Fraction for _, q in flat)
+    if not flat:  # classical_period stops here
+        return
+    got = _row_frame(f, flat, half)
+    assert got == reference_row_frame(f, flat, half)
+    frame, _, _, hull = got
+    support = list(frame.values())
+    assert _support_bounds(support, hull) == reference_support_bounds(support, hull)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=mixed_laurent(), half=st.integers(1, 5))
+def test_set_up_helpers_match_the_references(f, half):
+    """Flat terms in order, the frame dict, row and field bounds, hull, and the
+    bounds list in order."""
+    assert_set_up_matches(f, half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), f=mixed_laurent())
+def test_reading_and_specializing_match_the_references(data, f):
+    """JSON -> LaurentPolynomial, then a partial assignment, against the
+    Fraction-parsing reader and the validating constructors."""
+    doc = laurent_to_json(f)
+    for item in doc["terms"]:  # coefficients as plain rational literals or names
+        if item["coeff"] not in f.params:
+            item["coeff"] = data.draw(st.sampled_from(
+                [item["coeff"]] * 3 + ["0", " -7 ", "+3/4", "1.5", "-2.5e-2", "1e3", "1_0", "1/0", "x"]))
+    try:
+        expected = reference_laurent_from_json(doc)
+    except SchemaError as e:
+        with pytest.raises(SchemaError) as got:
+            laurent_from_json(doc)
+        assert str(got.value) == str(e)
+        return
+    g = laurent_from_json(doc)
+    assert shape(g) == shape(expected)
+    point = data.draw(st.dictionaries(st.sampled_from(f.params), st.fractions(
+        min_value=-3, max_value=3, max_denominator=4), max_size=len(f.params))) if f.params else {}
+    assert shape(g.specialize(point)) == shape(reference_specialize(g, point))
+
+
+# The perfbench `family` jobs of seeds 1-3 on the paper's f (fixture paper-f):
+# order, then the assigned parameters; the others stay symbolic.
+FAMILY_JOBS = """\
+5 b1=-3/2 b2=-1/3 c2=1/2 | 14 a1=3/2 a2=-1/2 b1=3/2 b2=-1/3 c1=2/3 c2=1/3
+5 a1=1/3 b2=1/3 c1=-1/2 | 4 a1=2/3 a2=-1/2 c1=2/3 c2=-3/2 | 5 a2=1/2 b1=1/3 b2=1/2
+5 a2=-3/2 b2=3/2 | 5 a1=-1/2 a2=-1/3 c1=-1/2
+14 a1=1/3 a2=-2/3 b1=2/3 b2=-2/3 c1=-3/2 c2=-1/2 | 5 a1=-2/3 c1=1/2 c2=1/2
+4 b1=1/3 b2=-1/3 c1=1/3 c2=-1/3 | 5 a1=3/2 c1=1/3 c2=-3/2 | 5 a1=-1/3 b2=-1/2
+5 a2=-1/3 b1=1/2 b2=1/2 | 14 a1=-1/3 a2=1/2 b1=-3/2 b2=-1/2 c1=1/3 c2=2/3
+5 a1=-2/3 a2=2/3 b2=2/3 | 4 a1=-1/3 b1=-1/3 b2=2/3 c1=3/2 | 5 b1=-1/2 b2=3/2 c2=3/2
+5 b2=-3/2 c1=-3/2 | 5 a2=3/2 b1=-3/2 c1=1/3
+14 a1=-1/2 a2=-3/2 b1=-3/2 b2=1/2 c1=-2/3 c2=-1/3 | 5 a1=-1/2 a2=1/2 c2=1/2
+4 a2=-3/2 b1=-3/2 b2=-3/2 c2=1/3 | 5 a2=-3/2 b1=-1/3 c2=1/2 | 5 a2=-2/3 b1=3/2
+5 a1=1/3 b1=2/3 b2=1/2 | 14 a1=3/2 a2=2/3 b1=-1/2 b2=3/2 c1=2/3 c2=-2/3
+5 a2=-1/2 b2=1/3 c2=1/3 | 4 a1=1/3 a2=-1/3 b2=-3/2 c2=-3/2 | 5 a1=-1/2 b2=-3/2 c2=1/2
+5 a2=2/3 b2=1/2 | 5 a2=-3/2 c1=2/3 c2=1/3
+14 a1=-1/3 a2=-2/3 b1=-2/3 b2=-1/3 c1=1/2 c2=-1/2 | 5 a1=-1/2 b2=2/3 c2=-3/2
+4 a1=-1/3 b1=3/2 b2=-3/2 c1=-1/2 | 5 a2=1/3 b2=2/3 c1=-1/3 | 5 a1=-3/2 a2=1/3
+"""
+
+
+@pytest.mark.parametrize("job", FAMILY_JOBS.replace("\n", " | ").split(" | ")[:-1])
+def test_family_inputs_match_the_references(job):
+    """The 36 benchmark jobs: the stage's polynomial, every set-up helper, and
+    the printed period, each equal to the reference's."""
+    order, *pairs = job.split()
+    data = json.loads(resources.files("fanokit").joinpath("fixtures", "paper-f.json").read_text())
+    assign = dict(p.split("=") for p in pairs)
+    f = _laurent_stage(data, assign)
+    expected = reference_specialize(reference_laurent_from_json(data),
+                                    {k: Fraction(v) for k, v in assign.items()})
+    assert shape(f) == shape(expected)
+    assert_set_up_matches(f, (int(order) + 1) // 2)
+    for c in classical_period(f, int(order)).coeffs:
+        assert str(c) == (reference_str(c) if isinstance(c, ParamPoly) else str(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), names=st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+def test_terms_str_matches_the_reference(data, names):
+    """Fraction, int and ParamPoly coefficients, constant or not, with or
+    without a monomial, and the ParamPoly printer built on it."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    inner = st.builds(lambda d: ParamPoly(("u", "v"), d), st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)), rational, max_size=3))
+    items = data.draw(st.lists(st.tuples(exps, st.one_of(rational, st.integers(-2, 2), inner)),
+                               max_size=6))
+    assert terms_str(items, names) == reference_terms_str(items, names)
+    p = ParamPoly(names, data.draw(st.dictionaries(exps, rational, max_size=6)))
+    assert str(p) == reference_str(p)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,8 @@ from fanokit.series import (
     series_substitute,
     sqrt_series,
 )
-from fanokit.symbolic import ParamPoly, coeff_substitute, parse_coeff
+from fanokit.errors import WorkBudgetExceeded
+from fanokit.symbolic import ParamPoly, coeff_substitute, parse_coeff, parse_rational
 
 PARAMS = ("s1", "s2")
 S1 = ParamPoly.variable("s1", PARAMS)
@@ -56,6 +58,30 @@ def test_parse_coeff():
     assert parse_coeff("-3", ()) == -3
     with pytest.raises(ValueError):
         parse_coeff("zzz", ())
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-3", "+5", " 7 ", "22/15", "-6/4", "1e3", "-2.5e-2", "1.5", ".5", "3/4", "1E-3",
+    "٣", f"1e{LIMIT}", f"-1.5e-{LIMIT}",
+])
+def test_parse_rational_reads_as_fraction_does(text):
+    assert parse_rational(text) == Fraction(text)
+    assert type(parse_rational(text)) is Fraction
+
+
+@pytest.mark.parametrize("text, error", [
+    (f"1e{LIMIT + 1}", WorkBudgetExceeded), ("-2e-100000000", WorkBudgetExceeded),
+    ("1/0", ZeroDivisionError), ("1/-2", ValueError), ("--1", ValueError), ("", ValueError),
+    ("1e", ValueError), ("a1", ValueError),
+])
+def test_parse_rational_refuses(text, error):
+    """An exponent past the int-string limit is refused before 10**exponent is
+    built; everything else fails as Fraction(text) fails."""
+    with pytest.raises(error):
+        parse_rational(text)
 
 
 def test_coeff_substitute_collapses():
