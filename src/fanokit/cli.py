@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input or a request over a work budget, 3
 violated mathematical precondition, 4 series comparison mismatch, 5 internal
-error (a bug: any other exception, reported on one line).  JSON output is
-deterministic (sorted keys, no timing); the text format adds a
-human-readable summary and elapsed time.
+error (a bug: any other exception, reported on one line).  JSON output has no
+timing and is written by ``dumps``, byte-identical to ``json.dumps(report,
+sort_keys=True, indent=2)``; the text format adds a summary and elapsed time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 import time
 from functools import cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import InputError, MathError, SchemaError
@@ -28,6 +29,50 @@ from .pipeline import (
 )
 
 FIXTURES = ("paper-P", "paper-scaffolding", "paper-f", "paper", "paper-series")
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: {True: "true", False: "false"}.__getitem__}
+
+
+def dumps(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, on what a report holds:
+    dicts with str keys, lists, tuples, str, int, bool and None.  Another type
+    raises json's TypeError, an int past the int-string limit its ValueError.
+    Each item gets a trailing comma; the last one becomes the closing line.
+    """
+    out = []
+    write, scalar = out.append, _SCALARS.get
+
+    def container(o, indent):
+        inner = indent + "  "
+        if type(o) is dict:
+            write("{")
+            for k in sorted(o):
+                write(inner + encode_basestring_ascii(k) + ": ")
+                if f := scalar(type(v := o[k])):
+                    write(f(v))
+                else:
+                    container(v, inner)
+                write(",")
+            out[-1] = indent + "}" if o else "{}"
+        elif type(o) is list or type(o) is tuple:
+            write("[")
+            for v in o:
+                write(inner)
+                if f := scalar(type(v)):
+                    write(f(v))
+                else:
+                    container(v, inner)
+                write(",")
+            out[-1] = indent + "]" if o else "[]"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    if f := scalar(type(obj)):
+        return f(obj)
+    container(obj, "\n")
+    return "".join(out)
 
 
 def _load_input(args):
@@ -263,7 +308,7 @@ def main(argv=None):
     try:
         report, code = _dispatch(args)
         if args.format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = dumps(report) + "\n"
         else:
             lines = (_polygon_text(report) if args.command == "polygon"
                      else _scaffold_text(report) if args.command == "scaffold"

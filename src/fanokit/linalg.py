@@ -51,11 +51,6 @@ def transpose(M):
     return tuple(zip(*M)) if M else ()
 
 
-def mat_mul(A, B):
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
 def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
@@ -242,16 +237,6 @@ def snf(M):
     return mat_freeze(a), mat_freeze(u), mat_freeze(v)
 
 
-def invariant_factors(M):
-    S, _, _ = snf(M)
-    k = min(len(S), len(S[0]) if S else 0)
-    return tuple(S[i][i] for i in range(k))
-
-
-def rank(M):
-    return sum(1 for d in invariant_factors(M) if d != 0)
-
-
 def kernel_basis(M):
     """Basis of the right integer kernel {x : M x = 0}, as a tuple of vectors."""
     M = mat_freeze(M)
@@ -312,22 +297,6 @@ def integer_solver(M):
 def solve_integer(M, b):
     """One integer solution of M x = b, or None when none exists."""
     return integer_solver(M)(b)
-
-
-def inverse_unimodular(M):
-    """Inverse of a unimodular integer matrix, itself integral."""
-    n = len(M)
-    d = det(M)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            row.append((-1) ** (i + j) * det(minor) * d)
-        adj.append(tuple(row))
-    return tuple(adj)
 
 
 def solve_rational(A, b):

@@ -11,8 +11,6 @@ presentation, hypersurface and its class x_class), each step computed once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cox import (
     CoxPolynomial,
     CoxPresentation,
@@ -29,14 +27,13 @@ from .errors import NonSimplicial, Record, SchemaError, json_ints, json_list
 from .laurent import classical_period, laurent_from_json
 from .linalg import vec_sub
 from .polygon import (
-    barycenter,
     lattice_symmetries,
-    normalized_volume,
     polar,
     qg_dimension,
     singularity_multiset,
     singularity_report,
     validate_fano,
+    volume_and_barycenter,
 )
 from .polyhedra import HalfspaceSystem
 from .quantum import quantum_period
@@ -52,9 +49,8 @@ from .symbolic import parse_rational
 
 
 def _num(x):
-    """JSON value for an exact number: int when integral, else 'p/q'."""
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else str(f)
+    """JSON value for an int or a Fraction: int when integral, else 'p/q'."""
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _series_json(ps):
@@ -69,7 +65,7 @@ def run_polygon(data):
     )
     records = singularity_report(P)
     pol = polar(P)
-    bary = barycenter(pol)
+    volume, bary = volume_and_barycenter(pol)
     multiset = singularity_multiset(records)
     return {
         "vertices": [list(v) for v in P.vertices],
@@ -90,7 +86,7 @@ def run_polygon(data):
         "singularity_multiset": {str(q): n for q, n in multiset.items()},
         "polar": {
             "vertices": [[_num(c) for c in v] for v in pol.vertices],
-            "normalized_volume": _num(normalized_volume(pol)),
+            "normalized_volume": _num(volume),
             "barycenter": [_num(c) for c in bary],
         },
         "k_polystable": bary == (0, 0),

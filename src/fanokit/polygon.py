@@ -154,7 +154,7 @@ def edge_singularity(P, i):
     lattice height over the origin, and the edge carries m = floor(l/h)
     primitive T-cones with residue l mod h.
     """
-    u, v = P.edges()[i]
+    u, v = P.vertices[i], P.vertices[(i + 1) % len(P.vertices)]
     r = _cross(u, v)
     if u[0]:
         w0 = -pow(u[1], -1, abs(u[0]))
@@ -203,9 +203,10 @@ def polar(Q):
     return Polygon(_canonical_cycle(verts))
 
 
-def _fan_sums(Q):
-    """(L, sum c, sum c (x + x'), sum c (y + y')) over the edges (x, y) -> (x', y')
-    of L Q, c their cross products, L the lcm of the vertex denominators."""
+def volume_and_barycenter(Q):
+    """(normalized volume, barycenter), exact, in one pass: with c the cross products
+    of the edges (x, y) -> (x', y') of L Q, L the lcm of the denominators, they are
+    |sum c| / L^2 and (sum c (x + x'), sum c (y + y')) / (3 L sum c)."""
     L = lcm(*(c.denominator for p in Q.vertices for c in p))
     pts = [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
            for x, y in Q.vertices]
@@ -215,19 +216,8 @@ def _fan_sums(Q):
         area2 += c
         cx += c * (x + x1)
         cy += c * (y + y1)
-    return L, area2, cx, cy
-
-
-def normalized_volume(Q):
-    """Twice the Euclidean area, exact (shoelace over the origin fan)."""
-    L, area2, _, _ = _fan_sums(Q)
-    return Fraction(abs(area2), L * L)
-
-
-def barycenter(Q):
-    """Exact centroid, from the triangles of the origin fan."""
-    L, area2, cx, cy = _fan_sums(Q)
-    return (Fraction(cx, 3 * area2 * L), Fraction(cy, 3 * area2 * L))
+    return (Fraction(abs(area2), L * L),
+            (Fraction(cx, 3 * area2 * L), Fraction(cy, 3 * area2 * L)))
 
 
 def lattice_symmetries(P):

@@ -27,13 +27,13 @@ from fanokit.cox import (
     unstable_locus_equal,
 )
 from fanokit.laurent import LaurentPolynomial, classical_period
-from fanokit.linalg import det, dot, hnf, mat_mul, primitive, rank, snf
+from fanokit.linalg import det, dot, hnf, primitive, snf
 from fanokit.pipeline import run_compare, run_polygon
 from fanokit.polygon import (
     lattice_symmetries,
-    normalized_volume,
     polar,
     validate_fano,
+    volume_and_barycenter,
 )
 from fanokit.polyhedra import dual_cone, halfspaces, integer_points
 from fanokit.quantum import lambda_cone, mori_and_nef, quantum_period
@@ -47,6 +47,8 @@ from fanokit.scaffolding import (
 )
 from fanokit.series import PowerSeries, first_mismatch, series_substitute, sqrt_series
 from fanokit.symbolic import ParamPoly
+
+from test_linalg import mat_mul, rank
 
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 
@@ -133,7 +135,7 @@ def test_c1_polygon_report():
         assert report["k_polystable"] is True
         assert report["symmetry_order"] == 2
         P = validate_fano(HEX)
-        assert normalized_volume(polar(P)) == Fraction(22, 15)
+        assert volume_and_barycenter(polar(P))[0] == Fraction(22, 15)
         assert set(lattice_symmetries(P)) == {
             ((1, 0), (0, 1)),
             ((-1, 0), (0, -1)),

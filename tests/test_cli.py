@@ -7,6 +7,8 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from functools import reduce
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
@@ -17,7 +19,12 @@ from hypothesis import strategies as st
 
 import fanokit
 import fanokit.linalg
-from fanokit.cli import build_parser, main
+from fanokit.cli import _dispatch, build_parser, dumps, main
+from fanokit.linalg import mat_vec
+from fanokit.pipeline import run_polygon
+
+from test_linalg import mat_mul
+from test_polygon import GL2_GENERATORS, fano_polygons
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,39 +77,98 @@ def test_json_output_is_byte_identical(capsys):
     assert "elapsed" not in out1
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("polygon-paper-P", ["polygon", "--fixture", "paper-P"]),
-        (
-            "scaffold-paper-scaffolding-check-hull",
-            ["scaffold", "--fixture", "paper-scaffolding", "--check-hull"],
-        ),
-        (
-            "classical-paper-f-order4-symbolic",
-            ["periods", "classical", "--fixture", "paper-f", "--order", "4", "--symbolic"],
-        ),
-        (
-            "classical-paper-f-order6-symbolic-assign",
-            ["periods", "classical", "--fixture", "paper-f", "--order", "6", "--symbolic",
-             "--assign", "a1=1/2", "--assign", "b2=-1/3"],
-        ),
-        ("quantum-paper-order12", ["periods", "quantum", "--fixture", "paper", "--order", "12"]),
-        ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
-        ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
-        ("quantum-paper-order60", ["periods", "quantum", "--fixture", "paper", "--order", "60"]),
-        ("compare-paper-order60", ["periods", "compare", "--fixture", "paper", "--order", "60"]),
-        (
-            "classical-paper-f-order8-symbolic",
-            ["periods", "classical", "--fixture", "paper-f", "--order", "8", "--symbolic"],
-        ),
-    ],
-)
+# Each golden file's name and the CLI run whose stdout it holds.
+GOLDEN_RUNS = [
+    ("polygon-paper-P", ["polygon", "--fixture", "paper-P"]),
+    (
+        "scaffold-paper-scaffolding-check-hull",
+        ["scaffold", "--fixture", "paper-scaffolding", "--check-hull"],
+    ),
+    (
+        "classical-paper-f-order4-symbolic",
+        ["periods", "classical", "--fixture", "paper-f", "--order", "4", "--symbolic"],
+    ),
+    (
+        "classical-paper-f-order6-symbolic-assign",
+        ["periods", "classical", "--fixture", "paper-f", "--order", "6", "--symbolic",
+         "--assign", "a1=1/2", "--assign", "b2=-1/3"],
+    ),
+    ("quantum-paper-order12", ["periods", "quantum", "--fixture", "paper", "--order", "12"]),
+    ("compare-paper-order12", ["periods", "compare", "--fixture", "paper", "--order", "12"]),
+    ("compare-paper-order40", ["periods", "compare", "--fixture", "paper", "--order", "40"]),
+    ("quantum-paper-order60", ["periods", "quantum", "--fixture", "paper", "--order", "60"]),
+    ("compare-paper-order60", ["periods", "compare", "--fixture", "paper", "--order", "60"]),
+    (
+        "classical-paper-f-order8-symbolic",
+        ["periods", "classical", "--fixture", "paper-f", "--order", "8", "--symbolic"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_RUNS)
 def test_json_output_matches_golden(capsys, name, argv):
     """Byte-for-byte stdout of fixture runs, against files in tests/golden."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def as_json(obj):
+    """The writer's oracle."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def outcome(write, obj):
+    """write(obj), or the type and message of the TypeError or ValueError it raises."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_RUNS]
+                         + [["scaffold", "--fixture", "paper-scaffolding"]])
+def test_the_writer_matches_json_dumps_on_the_golden_reports(argv):
+    """Every report of a golden run, and scaffold without --check-hull, with its
+    provenance block, written as json.dumps(sort_keys=True, indent=2) writes it."""
+    report, _ = _dispatch(build_parser().parse_args(argv))
+    assert dumps(report) == as_json(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=fano_polygons(), word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=12))
+def test_the_writer_matches_json_dumps_on_polygon_reports(P, word):
+    """Polygon reports of random Fano polygons and their GL2(Z) images."""
+    g = reduce(mat_mul, word, ((1, 0), (0, 1)))
+    for verts in (P.vertices, [mat_vec(g, v) for v in P.vertices]):
+        report = run_polygon({"vertices": [list(v) for v in verts]})
+        report["provenance"] = {"input_sha256": "0" * 64, "version": fanokit.__version__,
+                                "file": "pólygon \"1\".json"}
+        assert dumps(report) == as_json(report)
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [{}], ({"d": ((),)},)], {"e": [[[[]]]]},
+    [True, 1, False, 0, None], {"t": True, "f": False, "n": None, "one": 1, "z": 0},
+    True, None, 0, -7, "", "plain",
+    {"quote \" backslash \\ newline \n nul \x00 é \U0001F600": ["\"\\\n\x00é\U0001F600"]},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "é": 5, "10": 6, "9": 7, "": 8, "a b": 9},
+    [int("9" * LIMIT), -int("9" * LIMIT)],
+    {"big": [10 ** LIMIT]},
+    [-(10 ** LIMIT)],
+    {"x": [Fraction(1, 2)]},
+    Fraction(3),
+    {"set": {1}},
+], ids=["empty-dict", "empty-list", "empty-tuple", "empty-values", "nested-empties", "deep",
+        "bools-next-to-ints", "bool-values", "true", "none", "zero", "negative", "empty-str",
+        "str", "escapes", "key-order", "ints-at-the-limit", "int-over-the-limit",
+        "negative-over-the-limit", "fraction", "bare-fraction", "set"])
+def test_the_writer_matches_json_dumps_by_hand(obj):
+    """Output, or the exception type and message, equal json.dumps's."""
+    assert outcome(dumps, obj) == outcome(as_json, obj)
 
 
 def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):

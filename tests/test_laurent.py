@@ -26,11 +26,13 @@ from fanokit.laurent import (
     laurent_from_json,
     laurent_to_json,
 )
-from fanokit.linalg import det, dot, identity, mat_mul, primitive, snf, transpose, vec_sub
+from fanokit.linalg import det, dot, identity, primitive, snf, transpose, vec_sub
 from fanokit.pipeline import _laurent_stage
 from fanokit.polygon import convex_hull, validate_fano
 from fanokit.series import PowerSeries
 from fanokit.symbolic import ParamPoly, terms_str
+
+from test_linalg import mat_mul
 
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 

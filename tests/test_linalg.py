@@ -11,14 +11,10 @@ from fanokit.linalg import (
     hnf,
     identity,
     integer_solver,
-    invariant_factors,
-    inverse_unimodular,
     kernel_basis,
     kernel_vector,
-    mat_mul,
     mat_vec,
     primitive,
-    rank,
     snf,
     solve_integer,
     solve_rational,
@@ -26,6 +22,39 @@ from fanokit.linalg import (
 )
 
 WEIGHTS = ((0, 0, 1, 1, 1, 1), (0, 1, 3, 1, 0, 6), (1, 0, 1, 3, 6, 0))
+
+
+# Matrix helpers that only the tests need; the package multiplies and inverts
+# inline where it has to.  The other test modules import them from here.
+def mat_mul(A, B):
+    Bt = transpose(B)
+    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
+
+
+def invariant_factors(M):
+    S, _, _ = snf(M)
+    k = min(len(S), len(S[0]) if S else 0)
+    return tuple(S[i][i] for i in range(k))
+
+
+def rank(M):
+    return sum(1 for d in invariant_factors(M) if d != 0)
+
+
+def inverse_unimodular(M):
+    """Inverse of a unimodular integer matrix, itself integral."""
+    n = len(M)
+    d = det(M)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            row.append((-1) ** (i + j) * det(minor) * d)
+        adj.append(tuple(row))
+    return tuple(adj)
 
 
 def test_primitive():

@@ -10,24 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import NonPrimitiveVertex, NotConvex, OriginNotInterior
-from fanokit.linalg import identity, inverse_unimodular, mat_mul, mat_vec, primitive, vec_sub
+from fanokit.linalg import identity, mat_vec, primitive, vec_sub
 from fanokit.polygon import (
     CyclicQuotient2D,
     SingularityRecord,
     _cross,
-    barycenter,
     convex_hull,
     classify_lattice_point,
     edge_singularity,
     lattice_points,
     lattice_symmetries,
-    normalized_volume,
     polar,
     qg_dimension,
     singularity_multiset,
     singularity_report,
     validate_fano,
+    volume_and_barycenter,
 )
+
+from test_linalg import inverse_unimodular, mat_mul
 
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 P2 = [(1, 0), (0, 1), (-1, -1)]
@@ -40,7 +41,7 @@ def multiset_of(P):
 
 def is_k_polystable(P):
     """Barycenter criterion: the polar dual is centered at the origin."""
-    return barycenter(polar(P)) == (0, 0)
+    return volume_and_barycenter(polar(P))[1] == (0, 0)
 
 
 def _unimodular_to_e2(u):
@@ -179,8 +180,7 @@ def test_polar_hexagon():
         (Fraction(-3, 5), Fraction(1, 5)),
     }
     assert set(Q.vertices) == expected
-    assert normalized_volume(Q) == Fraction(22, 15)
-    assert barycenter(Q) == (0, 0)
+    assert volume_and_barycenter(Q) == (Fraction(22, 15), (0, 0))
     assert is_k_polystable(P)
 
 
@@ -214,7 +214,7 @@ def normalized_volume_from_first_vertex(Q):
 def test_volume_two_routes_agree():
     for verts in (HEX, P2, SQUARE):
         Q = polar(validate_fano(verts))
-        assert normalized_volume(Q) == normalized_volume_from_first_vertex(Q)
+        assert volume_and_barycenter(Q)[0] == normalized_volume_from_first_vertex(Q)
 
 
 def test_square_barycenter_polystable():
@@ -260,7 +260,7 @@ def test_random_polygons_polar_involution_and_invariance():
         back = polar(polar(P))
         assert set(back.vertices) == {(Fraction(x), Fraction(y)) for x, y in P.vertices}
         Q = polar(P)
-        assert normalized_volume(Q) == normalized_volume_from_first_vertex(Q)
+        assert volume_and_barycenter(Q)[0] == normalized_volume_from_first_vertex(Q)
         for g in lattice_symmetries(P):
             Pg = validate_fano([mat_vec(g, v) for v in P.vertices])
             assert multiset_of(Pg) == multiset_of(P)
@@ -279,7 +279,7 @@ def _invariants(P):
     return (
         multiset_of(P),
         qg_dimension(singularity_report(P)),
-        normalized_volume(polar(P)),
+        volume_and_barycenter(polar(P))[0],
         is_k_polystable(P),
         len(lattice_symmetries(P)),
     )
@@ -440,5 +440,5 @@ def test_integer_invariants_match_the_references(P, word):
     for Q in (P, validate_fano([mat_vec(g, v) for v in P.vertices])):
         assert lattice_symmetries(Q) == reference_lattice_symmetries(Q)
         for R in (Q, polar(Q)):
-            assert normalized_volume(R) == reference_normalized_volume(R)
-            assert barycenter(R) == reference_barycenter(R)
+            assert volume_and_barycenter(R) == (
+                reference_normalized_volume(R), reference_barycenter(R))

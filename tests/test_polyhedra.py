@@ -17,7 +17,6 @@ from fanokit.linalg import (
     kernel_vector,
     mat_freeze,
     primitive,
-    rank,
     solve_rational,
 )
 from fanokit.polyhedra import (
@@ -28,6 +27,8 @@ from fanokit.polyhedra import (
     integer_points,
     vertices,
 )
+
+from test_linalg import rank
 
 
 def reference_kernel_vector(rows):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fanokit.linalg
 import fanokit.polyhedra
 from fanokit.errors import FanokitError, NonSimplicial, SchemaError, Unbounded
-from fanokit.linalg import det, dot, primitive, rank
+from fanokit.linalg import det, dot, primitive
 from fanokit.polyhedra import halfspaces, homogenized_cone, vertices
 from fanokit.scaffolding import (
     NormalFan,
@@ -22,6 +22,8 @@ from fanokit.scaffolding import (
     theta_matrix,
     variable_names,
 )
+
+from test_linalg import rank
 
 HEX = [(2, 1), (1, 2), (-1, 2), (-2, -1), (-1, -2), (1, -2)]
 
