@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 from .errors import CorankError, NonSimplicial, Record, TorsionClassGroup
-from .linalg import dot, hnf, kernel_basis, snf, solve_integer, transpose
+from .linalg import dot, hnf, integer_solver, snf, transpose
 from .polyhedra import halfspaces, integer_points
 from .symbolic import ParamPoly, SparsePoly, coeff_substitute, terms_str
 
@@ -203,10 +203,10 @@ def section_monomials(cox, cls):
     {y : a0 + K*y >= 0}, enumerated by polyhedra.integer_points in any class
     rank.  Raises Unbounded when that region is unbounded.
     """
-    a0 = solve_integer(cox.weights, cls)
-    if a0 is None:
+    solve, kernel = integer_solver(cox.weights)  # one Smith form for both
+    if (a0 := solve(cls)) is None:
         return ()
-    rows = transpose(kernel_basis(cox.weights))
+    rows = transpose(kernel)
     ys = integer_points(halfspaces(len(rows[0]), rows, [-a for a in a0]))
     return tuple(sorted(tuple(a + dot(r, y) for a, r in zip(a0, rows)) for y in ys))
 

@@ -24,9 +24,10 @@ held at a time.  Each power is a set of rows of packed fields:
   balanced base 2R + 1 (R = K times their largest size in f: injective and
   linear), to [lo, row], where the coefficient of x^(lo + i) is the signed
   field i of w bits of the int row.
-  w is a multiple of 64 above bit_length(L^J), L = sum |D c|, so every
-  field, partial sums included, is below 2^(w-1) in size.  A step adds
-  row * G, one C multiply-add, for each group G of f's terms sharing a key.
+  w is a multiple of 64 above bit_length(L^J), L = sum |D c|, or above
+  bit_length(L^(2J)) when rows pair by products (below), so every field,
+  partial sums included, is below 2^(w-1) in size.  A step adds row * G,
+  one C multiply-add, for each group G of f's terms sharing a key.
 * Prune.  x^e in f^j is kept only if -l(e) <= (K - j) * h_l, h_l = max l
   over the support of f, for each functional l (the Newton polygon's edge
   normals in dimension 2, their extremes read off its vertices, else the
@@ -34,21 +35,24 @@ held at a time.  Each power is a set of rows of packed fields:
   needs only kept terms of f^(j-1).  A rounding shift below and a balanced
   mask above cut a row to its x range.  If some h_l < 0 the origin is
   outside Newt(f) and every coefficient after the first is 0.
-* Pairing.  Each power is decoded once, all its rows in one pass over their
-  own x ranges: a bias sets each field's top bit, flipping it back leaves the
-  field in two's complement, the joined bytes are read as 64-bit limbs, and a
-  row is a slice of one field tuple, also reversed.  Row r of f^a pairs with
-  row -r of f^b reversed, parameter parts adding, if their x ranges can meet
-  (a group's rows are sorted by start): one slice and one sum(map(mul, ...))
-  per row pair.  f^J keeps only rows that meet a row of f^(J-1) or of f^J.
-  Each coefficient is one Fraction per parameter monomial, put into a
-  ParamPoly with no check beyond dropping zeros.
+* Pairing.  Row r of f^a pairs with row -r of f^b, parameter parts adding,
+  if their x ranges can meet.  If a row of f^J holds at most ROW_FIELDS
+  fields (the frame's bound), each such pair is one int product, whose field
+  at x = 0 a rounding shift and a balanced mask read, with no decode.  Longer
+  rows are decoded, each power once, all its rows in one pass over their own
+  x ranges: a bias sets each field's top bit, flipping it back leaves the
+  field in two's complement, the joined bytes are read as 64-bit limbs, and
+  a row is a slice of one field tuple, also reversed; a pair is then one
+  slice and one sum(map(mul, ...)) (a group's rows are sorted by start).
+  f^J keeps only rows that meet a row of f^(J-1) or of f^J.  Each
+  coefficient is one Fraction per parameter monomial, put into a ParamPoly
+  with no check beyond dropping zeros.
 * Budget.  The work, rows x fields x w over the J powers, is at most J * w
   times bounds on f^J, found before the first power: its rows (monomials
   of degree J in f's row keys, or its parameter exponents times its lines)
   and the fields of a row (J times the longest chord of Newt(f) along x,
-  plus 1), w from J * bit_length(L).  Over MAX_FIELD_BITS it raises
-  WorkBudgetExceeded.
+  plus 1), w from J * bit_length(L), or 2J * bit_length(L) for products, the
+  width held.  Over MAX_FIELD_BITS it raises WorkBudgetExceeded.
 
 laurent_from_json and specialize, like the kernel's output, build the
 polynomial from terms they have checked or made, dropping only zeros.
@@ -79,6 +83,7 @@ from .symbolic import ParamPoly, SparsePoly, coeff_substitute, parse_coeff
 MAX_FIELD_BITS = 10**10
 # The fixed cost of a row in fields, when the frame is chosen: a row step and
 # a row pair take a few dict operations and calls next to the per-field work.
+# Rows of at most this many fields pair by int products instead of a decode.
 ROW_FIELDS = 16
 
 
@@ -319,6 +324,36 @@ def _paired(a, b):
     return sums
 
 
+def _grouped(power, w, rest_part):
+    """{rest part: [(parameter part, lo, hi, row)]}: each row of a power with its
+    x range [lo, hi], hi read off the row's bit length."""
+    groups = {}
+    for k, (lo, row) in power.items():
+        rp = rest_part(k)
+        groups.setdefault(rp, []).append((k - rp, lo, lo + row.bit_length() // w, row))
+    return groups
+
+
+def _products(a, b, w, reads):
+    """_paired on grouped powers, with no decode: each pair of rows whose x
+    ranges can meet at x = 0 is one int product p, and their sum at x = 0 is
+    p's field n = -lo_a - lo_b, read by a rounding shift and a balanced mask,
+    reads[n] = (half of 2^s plus the bias of field n, s = n w); w holds every
+    field of f^a * f^b, so those below cannot carry into it."""
+    sums, mask, bias = {}, (1 << w) - 1, 1 << w - 1
+    for rp, ra in a.items():
+        if (a is b and rp < 0) or (rb := b.get(-rp)) is None:
+            continue
+        twice = 1 + (a is b and rp != 0)
+        for pa, la, ha, x in ra:
+            for pb, lb, hb, y in rb:
+                if la + lb <= 0 <= ha + hb:
+                    r, s = reads[-la - lb]
+                    if d := ((x * y + r) >> s & mask) - bias:
+                        sums[pa + pb] = sums.get(pa + pb, 0) + twice * d
+    return sums
+
+
 def classical_period(f, order):
     """Series of constant terms of f^k, k = 0..order, exact at every order,
     from f^1 .. f^ceil(order/2) as the module docstring says.  A zero constant
@@ -333,12 +368,13 @@ def classical_period(f, order):
     dim, bounds = len(flat[0][0]) - len(f.params), _support_bounds(list(frame.values()), hull)
     if any(h < 0 for _, h, _ in bounds):
         return PowerSeries(order, coeffs)
-    size = sum(abs(c) for _, c in flat)  # every |field| is at most size**half
-    w = 64 * (half * size.bit_length() // 64 + 1)  # at least the exact w below
+    products = max_fields <= ROW_FIELDS  # then fields hold f^a * f^b, a + b <= 2 half
+    size, top = sum(abs(c) for _, c in flat), 2 * half if products else half
+    w = 64 * (top * size.bit_length() // 64 + 1)  # at least the exact w below
     if (work := half * w * max_rows * max_fields) > MAX_FIELD_BITS:
         raise WorkBudgetExceeded(f"the classical period to order {order} would hold up to "
                                  f"{work} field bits, over the limit of {MAX_FIELD_BITS}")
-    w = 64 * ((size**half).bit_length() // 64 + 1)  # exact, now that the budget bounds half
+    w = 64 * ((size**top).bit_length() // 64 + 1)  # exact, now that the budget bounds half
     base = 2 * max(order * max((abs(k) for e, _ in flat for k in e[1:]), default=0), 1) + 1
     mod, rows = base ** (dim - 1), {}
     digits = [base**i for i in range(dim - 1 + len(f.params))]
@@ -369,17 +405,23 @@ def classical_period(f, order):
         out = {tuple([s // t % base for t in digits]): Fraction(c, d) for s, c in sums.items() if c}
         return ParamPoly._trusted(out, f.params) if out else Fraction(0)
 
-    power, prev = {0: [0, 1]}, {0: ([(0, 0, 0, (1,), (1,))], None, 0)}  # f^0, decoded
+    power = {0: [0, 1]}  # f^0, grouped or decoded
+    if products:  # reads[n] reads field n of a product of two rows of at most max_fields
+        reads = [((1 << s >> 1) + (1 << w - 1 << s), s) for s in range(0, 2 * w * max_fields, w)]
+        prev = {0: [(0, 0, 0, 1)]}
+    else:
+        prev = {0: ([(0, 0, 0, (1,), (1,))], None, 0)}
     for j in range(1, half + 1):  # the last power only pairs, so it is not pruned
         prune = j < half and any(-j * low > (order - j) * h for _, h, low in bounds)
         power = _row_step(power, groups, w, prune and cuts(order - j, {}))
         if j == half:  # then a row meets only rows of f^(j-1) and of f^j
             near = {*prev, *(rps := list(map(rest_part, power)))}
             power = {k: r for (k, r), rp in zip(power.items(), rps) if -rp in near}
-        cur = _decoded(power, w, rest_part)
+        cur = (_grouped if products else _decoded)(power, w, rest_part)
         for k, low in ((2 * j - 1, prev), (2 * j, cur)):
             if k <= order:
-                coeffs.append(emit(_paired(cur, low), k))
+                pairs = _products(cur, low, w, reads) if products else _paired(cur, low)
+                coeffs.append(emit(pairs, k))
         prev = cur
     return PowerSeries(order, coeffs)
 

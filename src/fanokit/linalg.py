@@ -239,16 +239,7 @@ def snf(M):
 
 def kernel_basis(M):
     """Basis of the right integer kernel {x : M x = 0}, as a tuple of vectors."""
-    M = mat_freeze(M)
-    m = len(M)
-    n = len(M[0]) if m else 0
-    S, _, V = snf(M)
-    cols = []
-    for j in range(n):
-        d = S[j][j] if j < min(m, n) else 0
-        if d == 0:
-            cols.append(tuple(V[i][j] for i in range(n)))
-    return tuple(cols)
+    return integer_solver(M)[1]
 
 
 def kernel_vector(rows):
@@ -275,13 +266,16 @@ def kernel_vector(rows):
 
 
 def integer_solver(M):
-    """b -> one integer solution of M x = b or None, from one Smith form of M."""
+    """(solve, kernel) from one Smith form S = U M V: solve(b) is one integer
+    solution of M x = b or None, and kernel the columns of V past the nonzero
+    diagonal, a basis of the right integer kernel of M."""
     M = mat_freeze(M)
     m = len(M)
     n = len(M[0]) if m else 0
     S, U, V = snf(M)
     k = min(m, n)
     diagonal = [S[i][i] for i in range(k)]
+    kernel = tuple(tuple(r[j] for r in V) for j in range(n) if j >= k or not diagonal[j])
 
     def solve(b):
         c = mat_vec(U, tuple(b))
@@ -291,12 +285,12 @@ def integer_solver(M):
         y = tuple(ci // d if d else 0 for ci, d in zip(c, diagonal))
         return mat_vec(V, y + (0,) * (n - k))
 
-    return solve
+    return solve, kernel
 
 
 def solve_integer(M, b):
     """One integer solution of M x = b, or None when none exists."""
-    return integer_solver(M)(b)
+    return integer_solver(M)[0](b)
 
 
 def solve_rational(A, b):

@@ -62,7 +62,7 @@ def walls(cox):
     its sign is fixed by positivity on the two cone-completing rays, and the
     curve class solves W^T l = relation.
     """
-    curve_class = integer_solver(transpose(cox.weights))
+    curve_class, _ = integer_solver(transpose(cox.weights))
     out = []
     for face, incident in _wall_faces(cox):
         k = next(iter(set(cox.max_cones[incident[0]]) - set(face)))

@@ -919,15 +919,15 @@ def test_cli_error_paths(capsys, tmp_path, fixture, patch, argv, code, needle):
 
 @pytest.mark.parametrize("argv, calls", [
     (["periods", "compare", "--fixture", "paper", "--order", "20"], 1),
-    (["scaffold", "--fixture", "paper-scaffolding", "--check-hull"], 11),
+    (["scaffold", "--fixture", "paper-scaffolding", "--check-hull"], 10),
     (["polygon", "--fixture", "paper-P"], 0),
 ], ids=["compare", "scaffold", "polygon"])
 def test_smith_forms_per_job(capsys, monkeypatch, argv, calls):
     """Every module's binding of linalg.snf, wrapped.  The Cox stage takes one,
     for the class group: dual_cone reads pointedness off its candidate lines, so
     neither Q_S's homogenized cone nor the quantum cone takes one.  scaffold
-    adds the section lattice's kernel and solution (two) and the eight chart
-    lattices.  polygon takes none: each edge's quotient is a closed form in the
+    adds one for the section lattice's kernel and solution together and the
+    eight chart lattices.  polygon takes none: each edge's quotient is a closed form in the
     edge's determinant and one modular inverse."""
     seen, plain = [], fanokit.linalg.snf
     for mod in list(sys.modules.values()):

@@ -9,7 +9,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import mul, neg
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import fanokit.laurent
@@ -18,7 +18,11 @@ from fanokit.laurent import (
     ROW_FIELDS,
     LaurentPolynomial,
     _chord,
+    _decoded,
     _flat_terms,
+    _grouped,
+    _paired,
+    _products,
     _row_frame,
     _support_bounds,
     classical_period,
@@ -548,26 +552,130 @@ def sparse_laurent(draw):
     return LaurentPolynomial(dim, params, terms)
 
 
+# x + 1/x + y + z + 1/(yz): P^1 x P^2, whose frame takes the zero axis
+P1P2 = laurent(3, {(1, 0, 0): 1, (-1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, -1, -1): 1})
+# the paper's f with three parameters left, the first job of perfbench family at seed 1
+FAMILY_SYMBOLIC = hex_laurent().specialize(
+    {"b1": Fraction(-3, 2), "b2": Fraction(-1, 3), "c2": Fraction(1, 2)})
+# its second job, every parameter given, at order 14
+FAMILY_SPECIALIZED = hex_laurent().specialize({
+    "a1": Fraction(3, 2), "a2": Fraction(-1, 2), "b1": Fraction(3, 2), "b2": Fraction(-1, 3),
+    "c1": Fraction(2, 3), "c2": Fraction(1, 3)})
+# the polynomial of perfbench mirror and of the paper fixture
+PAPER_F = hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0})
+
+
 @settings(max_examples=60, deadline=None)
 @given(f=sparse_laurent(), order=st.integers(0, 8))
+@example(f=FAMILY_SYMBOLIC, order=5)
+@example(f=P1P2, order=20)
+@example(f=hex_laurent(), order=6)
 def test_classical_period_work_estimate_bounds_the_rows_held(f, order):
     """Every power the kernel builds holds at most the rows, and each row at
-    most the fields, that the work budget was estimated from."""
-    half = (order + 1) // 2
-    _, rows, fields, _ = fanokit.laurent._row_frame(f, list(_flat_terms(f)), half)
-    held, plain_step = [], fanokit.laurent._row_step
+    most the fields, that the work budget was estimated from, at no more than
+    the width it was estimated at.  That width holds every field of f^half,
+    and of f^a * f^b for a + b <= 2 half when rows of at most ROW_FIELDS
+    fields pair by products."""
+    half, flat = (order + 1) // 2, list(_flat_terms(f))
+    _, rows, fields, _ = fanokit.laurent._row_frame(f, flat, half)
+    held, plain_step, estimate = [], fanokit.laurent._row_step, None
 
     def counting_step(power, groups, w, cut):
         out = plain_step(power, groups, w, cut)
         widest = max((len(row_fields(row, w)) for _, row in out.values()), default=0)
-        held.append((len(out), widest))
+        held.append((len(out), widest, w))
         return out
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fanokit.laurent.MAX_FIELD_BITS", -1)
+        try:
+            classical_period(f, order)
+        except WorkBudgetExceeded as err:  # "... would hold up to {work} field bits ..."
+            estimate = int(str(err).split(" up to ")[1].split()[0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("fanokit.laurent._row_step", counting_step)
         got = classical_period(f, order)
     assert got == dict_kernel_period(f, order)
-    assert all(n <= rows and m <= fields for n, m in held)
+    assert all(n <= rows and m <= fields for n, m, _ in held)
+    if held:
+        scale = lcm(*(q.denominator for _, q in flat))
+        size = sum(abs(q) * scale for _, q in flat)
+        top = 2 * half if fields <= ROW_FIELDS else half
+        assert all(size**top < 2 ** (w - 1) and w % 64 == 0 for *_, w in held)
+        assert all(half * w * rows * fields <= estimate for *_, w in held)
+
+
+def pairing_views(f, order):
+    """classical_period(f, order) and the (view, power, w, rest_part) of each
+    power it grouped for products (view "_grouped") or decoded ("_decoded")."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_grouped", "_decoded"):
+            plain = getattr(fanokit.laurent, name)
+            patch.setattr(f"fanokit.laurent.{name}", lambda power, w, rest_part, name=name,
+                          plain=plain: seen.append((name, power, w, rest_part)) or plain(
+                              power, w, rest_part))
+        got = classical_period(f, order)
+    return got, seen
+
+
+@pytest.mark.parametrize("f, order, view", [
+    (FAMILY_SYMBOLIC, 5, "_grouped"),
+    (P1P2, 20, "_grouped"),
+    # fields of f^4 * f^4 need 192 bits, those of f^4 only 128
+    (laurent(1, {(1,): 2**40 + 1, (-1,): -(3**25), (0,): -(2**35)}), 8, "_grouped"),
+    (PAPER_F, 20, "_decoded"),
+    (FAMILY_SPECIALIZED, 14, "_decoded"),
+], ids=["family-symbolic-order5", "p1p2-order20", "wide-fields", "mirror-order20",
+        "family-specialized-order14"])
+def test_the_row_bound_picks_the_pairing(f, order, view):
+    """Rows of f^half of at most ROW_FIELDS fields, by the frame's bound, pair
+    by int products with no decode; longer rows are decoded."""
+    fields = _row_frame(f, list(_flat_terms(f)), (order + 1) // 2)[2]
+    assert (fields <= ROW_FIELDS) == (view == "_grouped")
+    got, seen = pairing_views(f, order)
+    assert {name for name, *_ in seen} == {view}
+    assert got == dict_kernel_period(f, order)
+
+
+@st.composite
+def specialized_hex(draw):
+    """hex_laurent() with some of its parameters given rational values."""
+    names = draw(st.lists(st.sampled_from(F_PARAMS), unique=True))
+    return hex_laurent().specialize({p: draw(RATIONALS) for p in names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(parametric_laurent(), sparse_laurent(), specialized_hex()),
+       order=st.integers(1, 8))
+def test_products_and_decode_pair_the_same_powers(f, order):
+    """Both pairings on the powers classical_period built, with the dict kernel
+    as the oracle for the period: _products on grouped powers and _paired on
+    decoded ones give equal sums for each pair of powers the period pairs.
+    Decoded powers are held at a width for f^half only, so they are repacked at
+    twice that width, which holds every field of f^a * f^b."""
+    got, seen = pairing_views(f, order)
+    assert got == dict_kernel_period(f, order)
+    if not seen:
+        return
+    view, _, w, rest_part = seen[0]
+    event(view)
+    wide = w if view == "_grouped" else 2 * w
+    powers = [{0: [0, 1]}] + [
+        {k: [lo, sum(c << wide * i for i, c in enumerate(row_fields(row, w)))]
+         for k, (lo, row) in power.items()} for _, power, *_ in seen]
+    grouped = [_grouped(p, wide, rest_part) for p in powers]
+    decoded = [_decoded(p, wide, rest_part) for p in powers]
+    longest = max(hi - lo for g in grouped for rows in g.values() for _, lo, hi, _ in rows)
+    reads = [((1 << s >> 1) + (1 << wide - 1 << s), s)  # rounding and bias, shift
+             for s in range(0, wide * (2 * longest + 1), wide)]
+    for j in range(1, len(powers)):
+        for i in (j - 1, j):
+            if i + j <= order:
+                by_products = _products(grouped[j], grouped[i], wide, reads)
+                by_decode = _paired(decoded[j], decoded[i])
+                assert {k: v for k, v in by_products.items() if v} == {
+                    k: v for k, v in by_decode.items() if v}
 
 
 def test_laurent_basics():

@@ -193,13 +193,14 @@ def test_kernel_and_solve():
 
 
 def test_integer_solver_factors_once(monkeypatch):
-    """One SNF serves every right-hand side, with solve_integer's answers."""
+    """One SNF serves every right-hand side, with solve_integer's answers, and
+    the kernel basis, kernel_basis's."""
     import fanokit.linalg as linalg
 
     calls = []
     monkeypatch.setattr(linalg, "snf", lambda M: calls.append(M) or snf(M))
     A = transpose(WEIGHTS)
-    solve = integer_solver(A)
+    solve, kernel = integer_solver(A)
     rng = random.Random(31)
     for _ in range(20):
         l = tuple(rng.randint(-5, 5) for _ in range(3))
@@ -207,7 +208,12 @@ def test_integer_solver_factors_once(monkeypatch):
         assert mat_vec(A, solve(b)) == b
         assert solve(b[:-1] + (b[-1] + 1,)) is None
     assert len(calls) == 1
-    assert integer_solver(((2, 0), (0, 2)))((1, 0)) is None
+    monkeypatch.undo()
+    assert kernel == kernel_basis(A) and all(mat_vec(A, k) == (0,) * len(A) for k in kernel)
+    for M in (WEIGHTS, ((2, 0), (0, 2)), ((1, 2, 3),), ((0, 0), (0, 0))):
+        solve, kernel = integer_solver(M)
+        assert kernel == kernel_basis(M) and len(kernel) == len(M[0]) - rank(M)
+    assert integer_solver(((2, 0), (0, 2)))[0]((1, 0)) is None
 
 
 def test_dot_checks_lengths():
