@@ -36,17 +36,17 @@ held at a time.  Each power is a set of rows of packed fields:
   mask above cut a row to its x range.  If some h_l < 0 the origin is
   outside Newt(f) and every coefficient after the first is 0.
 * Pairing.  Row r of f^a pairs with row -r of f^b, parameter parts adding,
-  if their x ranges can meet.  If a row of f^J holds at most ROW_FIELDS
-  fields (the frame's bound), each such pair is one int product, whose field
-  at x = 0 a rounding shift and a balanced mask read, with no decode.  Longer
-  rows are decoded, each power once, all its rows in one pass over their own
-  x ranges: a bias sets each field's top bit, flipping it back leaves the
-  field in two's complement, the joined bytes are read as 64-bit limbs, and
-  a row is a slice of one field tuple, also reversed; a pair is then one
-  slice and one sum(map(mul, ...)) (a group's rows are sorted by start).
-  f^J keeps only rows that meet a row of f^(J-1) or of f^J.  Each
-  coefficient is one Fraction per parameter monomial, put into a ParamPoly
-  with no check beyond dropping zeros.
+  if their x ranges meet at x = 0: lo_a + lo_b <= 0 <= hi_a + hi_b, one
+  test on the (parameter part, lo, hi, ...) rows of both pairings, f^0 too.
+  If a row of f^J holds at most ROW_FIELDS fields (the frame's bound), each
+  such pair is one int product, whose field at x = 0 a rounding shift and a
+  balanced mask read, with no decode.  Longer rows are decoded, each power
+  once, all its rows in one pass: a bias sets each field's top bit, flipping
+  it back leaves the field in two's complement, the joined bytes are read as
+  64-bit limbs, and a row is a slice of one field tuple, also reversed; a
+  pair is one slice and one sum(map(mul, ...)).  f^J keeps only rows that
+  meet a row of f^(J-1) or of f^J.  Each coefficient is one Fraction per
+  parameter monomial, put into a ParamPoly with no check beyond dropping zeros.
 * Budget.  The work, rows x fields x w over the J powers, is at most J * w
   times bounds on f^J, found before the first power: its rows (monomials
   of degree J in f's row keys, or its parameter exponents times its lines)
@@ -65,7 +65,6 @@ interior lattice point, and 0 at the origin.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm, prod
@@ -267,13 +266,10 @@ def _row_step(power, groups, w, cut):
 
 
 def _decoded(power, w, rest_part):
-    """{rest part: (rows, starts, longest)}: every row of a power decoded in one
-    pass as (parameter part, lo, hi, fields, fields reversed) over its own x
-    range [lo, hi], each a slice of one tuple of the power's fields.  The
-    unsigned lower limbs of a field go under its signed top limb by maps.
-    The rows of a group are sorted by -hi, where they start reversed; for
-    more than one row, starts holds those starts and longest the longest
-    hi - lo, else they are None and 0."""
+    """{rest part: [(parameter part, lo, hi, fields, fields reversed)]}: every
+    row of a power, in power order, decoded in one pass over its own x range
+    [lo, hi], each a slice of one tuple of the power's fields.  The unsigned
+    lower limbs of a field go under its signed top limb by maps."""
     m, biases, raw = w // 64, {}, []
     for lo, row in power.values():
         n = row.bit_length() // w + 1
@@ -294,32 +290,24 @@ def _decoded(power, w, rest_part):
         groups.setdefault(rp := rest_part(k), []).append(
             (k - rp, lo, lo + n - 1, fields[i : i + n], rev[j - n : j]))
         i, j = i + n, j - n
-    for rp, rows in groups.items():
-        if len(rows) > 1:
-            rows.sort(key=lambda r: -r[2])
-            groups[rp] = rows, [-r[2] for r in rows], max(r[2] - r[1] for r in rows)
-        else:
-            groups[rp] = rows, None, 0
     return groups
 
 
 def _paired(a, b):
     """{parameter part: sum over x of a row of a times a row of b at -x}, a and b
     decoded powers.  Groups pair by opposite rest parts, once if a is b, and
-    rows only if their x ranges can meet: each row of a takes the reversed
-    rows of b that start within the longest row of its start.  The side that
-    starts first is sliced to where the other starts, and map stops at the
-    end of the shorter."""
+    rows only if their x ranges meet, as in _products.  The side that starts
+    first is sliced to where the other starts, and map stops at the end of
+    the shorter."""
     sums = {}
-    for rp, (ra, _, _) in a.items():
-        if (a is b and rp < 0) or -rp not in b:
+    for rp, ra in a.items():
+        if (a is b and rp < 0) or (rb := b.get(-rp)) is None:
             continue
-        rb, starts, longest = b[-rp]
         twice = 1 + (a is b and rp != 0)
-        for pa, lo, hi, fa, _ in ra:
-            for pb, _, hb, _, r in rb[bisect_left(starts, lo - longest) : bisect_right(
-                    starts, hi)] if starts else rb:
-                if d := sum(map(mul, fa[-s:], r) if (s := lo + hb) < 0 else map(mul, fa, r[s:])):
+        for pa, la, ha, fa, _ in ra:
+            for pb, lb, hb, _, r in rb:
+                if la + lb <= 0 <= ha + hb and (d := sum(
+                        map(mul, fa[-s:], r) if (s := la + hb) < 0 else map(mul, fa, r[s:]))):
                     sums[pa + pb] = sums.get(pa + pb, 0) + twice * d
     return sums
 
@@ -405,19 +393,17 @@ def classical_period(f, order):
         out = {tuple([s // t % base for t in digits]): Fraction(c, d) for s, c in sums.items() if c}
         return ParamPoly._trusted(out, f.params) if out else Fraction(0)
 
-    power = {0: [0, 1]}  # f^0, grouped or decoded
     if products:  # reads[n] reads field n of a product of two rows of at most max_fields
         reads = [((1 << s >> 1) + (1 << w - 1 << s), s) for s in range(0, 2 * w * max_fields, w)]
-        prev = {0: [(0, 0, 0, 1)]}
-    else:
-        prev = {0: ([(0, 0, 0, (1,), (1,))], None, 0)}
+    view, power = _grouped if products else _decoded, {0: [0, 1]}
+    prev = view(power, w, rest_part)  # f^0
     for j in range(1, half + 1):  # the last power only pairs, so it is not pruned
         prune = j < half and any(-j * low > (order - j) * h for _, h, low in bounds)
         power = _row_step(power, groups, w, prune and cuts(order - j, {}))
         if j == half:  # then a row meets only rows of f^(j-1) and of f^j
             near = {*prev, *(rps := list(map(rest_part, power)))}
             power = {k: r for (k, r), rp in zip(power.items(), rps) if -rp in near}
-        cur = (_grouped if products else _decoded)(power, w, rest_part)
+        cur = view(power, w, rest_part)
         for k, low in ((2 * j - 1, prev), (2 * j, cur)):
             if k <= order:
                 pairs = _products(cur, low, w, reads) if products else _paired(cur, low)

@@ -255,15 +255,6 @@ def run_classical(data, order, symbolic=False, assignments=None):
     return out
 
 
-def _quantum_period(st, order):
-    """quantum_period on a Cox stage, up to the class rank an oracle has checked."""
-    if st.cox.class_rank > 3:
-        raise SchemaError(
-            f"quantum periods need class rank <= 3, not {st.cox.class_rank}"
-        )
-    return quantum_period(st.cox, st.x_class, order)
-
-
 def run_quantum(data, order):
     if order < 0:
         raise SchemaError("truncation order must be >= 0")
@@ -271,7 +262,7 @@ def run_quantum(data, order):
         raise SchemaError("periods input must be a JSON object")
     sub = data.get("scaffolding", data)
     st = _cox_stage(sub)
-    G, reg = _quantum_period(st, order)
+    G, reg = quantum_period(st.cox, st.x_class, order)
     return {"order": order, "period": _series_json(G), "regularized": _series_json(reg)}
 
 
@@ -292,7 +283,7 @@ def run_compare(data, order, assignments=None):
             f"the Laurent polynomial has rank {f.dim}, "
             f"the scaffolding's lattice rank {st.scaffolding.ambient_rank}"
         )
-    _, reg = _quantum_period(st, order)
+    _, reg = quantum_period(st.cox, st.x_class, order)
     pi = classical_period(f, order)
     miss = first_mismatch(reg, pi, order)
     return {

@@ -310,33 +310,40 @@ def test_unwritable_out_file(capsys, tmp_path):
 
 
 def test_class_rank_four(capsys, tmp_path):
-    """A fifth strut gives class rank 4: the scaffold report is computed, and
-    the quantum side, whose cones stop at rank 3, exits 2 with one line."""
+    """A fifth strut w gives class rank 4, and a sixth v class rank 5: the
+    scaffold report is computed, and the quantum side matches the mirror.
+    The moment segment of w shifted by its chi is the point (1, 3), that of
+    v the point (-1, -3), so each adds one term x^(1, 3) or x^(-1, -3) with
+    coefficient 1 to the paper's Laurent polynomial (Coates, Kasprzyk and
+    Prince, Laurent inversion), and compare reads EQUAL at orders 12 and 16."""
     fixtures = resources.files("fanokit").joinpath("fixtures")
     scaffolding = json.loads(fixtures.joinpath("paper-scaffolding.json").read_text())
     for key in ("class_basis", "fiber_check", "irrelevant_product", "target"):
         del scaffolding[key]
-    scaffolding["struts"].append({"name": "w", "divisor": [-1, 1], "chi": [3]})
     paper = json.loads(fixtures.joinpath("paper.json").read_text())
-    paper["scaffolding"] = scaffolding
-    rank4 = tmp_path / "rank4.json"
-    rank4.write_text(json.dumps(scaffolding))
-    compare_in = tmp_path / "compare.json"
-    compare_in.write_text(json.dumps(paper))
+    for strut, exp in (({"name": "w", "divisor": [-1, 1], "chi": [3]}, [1, 3]),
+                       ({"name": "v", "divisor": [1, -1], "chi": [-3]}, [-1, -3])):
+        scaffolding["struts"].append(strut)
+        paper["scaffolding"] = scaffolding
+        paper["laurent"]["terms"].append({"exp": exp, "coeff": "1"})
+        rank = len(scaffolding["struts"]) - 1
+        scaffold_in = tmp_path / f"rank{rank}.json"
+        scaffold_in.write_text(json.dumps(scaffolding))
+        compare_in = tmp_path / f"compare{rank}.json"
+        compare_in.write_text(json.dumps(paper))
 
-    report = run_json(capsys, "scaffold", "--in", str(rank4))
-    assert len(report["cox"]["weight_matrix"]) == 4
-    assert len(report["sections"]) == 3
-    assert report["family"]["params"] == ["s1"]
-
-    for argv in (
-        ["periods", "quantum", "--in", str(rank4)],
-        ["periods", "compare", "--in", str(compare_in)],
-    ):
-        code, out, err = run_cli(capsys, *argv, "--order", "6")
-        assert code == 2
-        assert out == ""
-        assert err == "error: SchemaError: quantum periods need class rank <= 3, not 4\n"
+        report = run_json(capsys, "scaffold", "--in", str(scaffold_in))
+        assert len(report["cox"]["weight_matrix"]) == rank
+        if rank == 4:
+            assert len(report["sections"]) == 3
+            assert report["family"]["params"] == ["s1"]
+        for order in (12, 16):
+            result = run_json(capsys, "periods", "compare", "--in", str(compare_in),
+                              "--order", str(order))
+            assert result["equal"] and result["first_mismatch"] is None
+            assert len(result["classical"]["coeffs"]) == order + 1
+        quantum = run_json(capsys, "periods", "quantum", "--in", str(scaffold_in), "--order", "16")
+        assert quantum["regularized"] == result["quantum_regularized"]
 
 
 def test_many_shape_factors_fail_fast(capsys, tmp_path):

@@ -21,7 +21,6 @@ from fanokit.laurent import (
     _decoded,
     _flat_terms,
     _grouped,
-    _paired,
     _products,
     _row_frame,
     _support_bounds,
@@ -272,8 +271,8 @@ def in_scaled_polygon(p, hull, s):
     "f, order, products, rows, fields, pairs",
     [
         (hex_laurent().specialize({"a1": 1, "a2": 1, "b1": 0, "b2": 0, "c1": 0, "c2": 0}),
-         12, 260, [4, 9, 13, 17, 21, 25], [10, 37, 95, 177, 283, 413], 111),
-        (hex_laurent(), 8, 2720, [10, 54, 207, 634], [14, 98, 485, 1874], 29745),
+         12, 260, [4, 9, 13, 17, 21, 25], [10, 37, 95, 177, 283, 413], 107),
+        (hex_laurent(), 8, 2720, [10, 54, 207, 634], [14, 98, 485, 1874], 17657),
     ],
     ids=["specialized-order12", "symbolic-order8"],
 )
@@ -291,13 +290,14 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     each.  With its six parameters in the row keys, the symbolic order-8
     period makes 2,720 row products (the dict kernel made 8,162 int
     products), and the only ParamPolys built are the emitted coefficients.
-    Each power built is decoded once, and the pairing makes one dot product
-    per pair of rows in its windows: 111 at order 12, 29,745 symbolic.
+    f^0 and each power built are decoded once, and the pairing makes one dot
+    product per pair of rows whose x ranges meet at x = 0: 107 at order 12,
+    17,657 symbolic.
     """
-    held, made, built, powers, decoded, dots, pairing = [], [], [], [], [], [], []
+    held, made, built, powers, decoded = [], [], [], [], []
     plain_step, plain_init = fanokit.laurent._row_step, ParamPoly.__init__
     plain_trusted = ParamPoly._trusted.__func__
-    plain_decoded, plain_paired = fanokit.laurent._decoded, fanokit.laurent._paired
+    plain_decoded = fanokit.laurent._decoded
     hull = convex_hull(f.terms)
 
     def counting_step(power, groups, w, cut):
@@ -326,18 +326,6 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
         decoded.append(power)
         return plain_decoded(power, *args)
 
-    def counting_paired(a, b):  # every sum inside the pairing is one row pair's dot
-        pairing.append(True)
-        try:
-            return plain_paired(a, b)
-        finally:
-            pairing.pop()
-
-    def counting_sum(values, start=0):
-        if pairing:
-            dots.append(values)
-        return sum(values, start)
-
     assert fanokit.laurent._row_frame(f, list(_flat_terms(f)), (order + 1) // 2)[0] == {
         e: e for e in f.terms}
     expected = dict_kernel_period(f, order)
@@ -345,8 +333,7 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     monkeypatch.setattr(ParamPoly, "__init__", counting_init)
     monkeypatch.setattr(ParamPoly, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr("fanokit.laurent._decoded", counting_decoded)
-    monkeypatch.setattr("fanokit.laurent._paired", counting_paired)
-    monkeypatch.setattr(fanokit.laurent, "sum", counting_sum, raising=False)
+    dots = checked_dots(monkeypatch)
     got = classical_period(f, order)
     monkeypatch.undo()
     assert got == expected
@@ -354,7 +341,7 @@ def test_classical_period_multiplies_only_the_terms_that_reach_the_constant_term
     assert [sum(len(row) for *_, row in power) for power in held] == fields
     assert sum(made) == products
     assert len(built) <= 9
-    assert decoded == powers and len(decoded) == len(rows)
+    assert decoded == [{0: [0, 1]}] + powers and len(decoded) == len(rows) + 1
     assert len(dots) == pairs
 
 
@@ -605,11 +592,38 @@ def test_classical_period_work_estimate_bounds_the_rows_held(f, order):
         assert all(half * w * rows * fields <= estimate for *_, w in held)
 
 
+def checked_dots(patch):
+    """Patch fanokit.laurent so that every sum inside _paired, one row pair's
+    dot, is checked to pair at least one field of each row; returns the list
+    that the length of each dot goes into."""
+    dots, inside, plain = [], [], fanokit.laurent._paired
+
+    def paired(a, b):
+        inside.append(True)
+        try:
+            return plain(a, b)
+        finally:
+            inside.pop()
+
+    def checked_sum(values, start=0):
+        if inside:
+            values = list(values)
+            assert values, "a row pair dotted over x ranges that do not meet"
+            dots.append(len(values))
+        return sum(values, start)
+
+    patch.setattr("fanokit.laurent._paired", paired)
+    patch.setattr(fanokit.laurent, "sum", checked_sum, raising=False)
+    return dots
+
+
 def pairing_views(f, order):
-    """classical_period(f, order) and the (view, power, w, rest_part) of each
-    power it grouped for products (view "_grouped") or decoded ("_decoded")."""
+    """classical_period(f, order) and the (view, power, w, rest_part) of f^0
+    and each power it grouped for products (view "_grouped") or decoded
+    ("_decoded"); every dot it makes pairs rows whose x ranges meet."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
+        checked_dots(patch)
         for name in ("_grouped", "_decoded"):
             plain = getattr(fanokit.laurent, name)
             patch.setattr(f"fanokit.laurent.{name}", lambda power, w, rest_part, name=name,
@@ -653,7 +667,8 @@ def test_products_and_decode_pair_the_same_powers(f, order):
     as the oracle for the period: _products on grouped powers and _paired on
     decoded ones give equal sums for each pair of powers the period pairs.
     Decoded powers are held at a width for f^half only, so they are repacked at
-    twice that width, which holds every field of f^a * f^b."""
+    twice that width, which holds every field of f^a * f^b.  Both read the
+    same (parameter part, lo, hi) prefix, and no dot meets an empty overlap."""
     got, seen = pairing_views(f, order)
     assert got == dict_kernel_period(f, order)
     if not seen:
@@ -661,11 +676,13 @@ def test_products_and_decode_pair_the_same_powers(f, order):
     view, _, w, rest_part = seen[0]
     event(view)
     wide = w if view == "_grouped" else 2 * w
-    powers = [{0: [0, 1]}] + [
-        {k: [lo, sum(c << wide * i for i, c in enumerate(row_fields(row, w)))]
-         for k, (lo, row) in power.items()} for _, power, *_ in seen]
+    powers = [{k: [lo, sum(c << wide * i for i, c in enumerate(row_fields(row, w)))]
+               for k, (lo, row) in power.items()} for _, power, *_ in seen]
+    assert powers[0] == {0: [0, 1]}
     grouped = [_grouped(p, wide, rest_part) for p in powers]
     decoded = [_decoded(p, wide, rest_part) for p in powers]
+    assert [{rp: [r[:3] for r in rows] for rp, rows in g.items()} for g in grouped] == [
+        {rp: [r[:3] for r in rows] for rp, rows in d.items()} for d in decoded]
     longest = max(hi - lo for g in grouped for rows in g.values() for _, lo, hi, _ in rows)
     reads = [((1 << s >> 1) + (1 << wide - 1 << s), s)  # rounding and bias, shift
              for s in range(0, wide * (2 * longest + 1), wide)]
@@ -673,7 +690,9 @@ def test_products_and_decode_pair_the_same_powers(f, order):
         for i in (j - 1, j):
             if i + j <= order:
                 by_products = _products(grouped[j], grouped[i], wide, reads)
-                by_decode = _paired(decoded[j], decoded[i])
+                with pytest.MonkeyPatch.context() as patch:
+                    checked_dots(patch)
+                    by_decode = fanokit.laurent._paired(decoded[j], decoded[i])
                 assert {k: v for k, v in by_products.items() if v} == {
                     k: v for k, v in by_decode.items() if v}
 
