@@ -110,11 +110,6 @@ class CoxStage(Record):
 
 def _cox_stage(data):
     s = scaffolding_from_json(data)
-    dim = s.shape.divisor_count + s.n_u_rank
-    if dim > 3:
-        raise SchemaError(
-            f"Q_S lives in dimension {dim}; this tool supports dimension <= 3"
-        )
     qs = build_qs(s)
     fan = normal_fan(qs)
     if fan.facet_rows != tuple(range(len(qs.normals))):

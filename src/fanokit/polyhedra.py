@@ -21,8 +21,9 @@ from operator import mul
 from .errors import Record, Unbounded, WorkBudgetExceeded
 from .linalg import dot, identity, kernel_basis, kernel_vector
 
-# Most candidate-normal checks dual_cone may make: C(m, dim - 1) candidates
-# against m normals.  The paper's Q_S needs C(7, 3) * 7 = 245.
+# Most steps dual_cone may take: per candidate line (C(m, dim - 1) of them), m
+# sign checks and, above dim 4, kernel_vector's dim Bareiss minors of size
+# dim - 1, about dim * (dim - 1)^3.  The paper's Q_S needs C(7, 3) * 7 = 245.
 MAX_DUAL_CONE_CHECKS = 10**6
 
 
@@ -59,10 +60,6 @@ class ConeV(Record):
     rays: tuple
     lineality: tuple = ()
 
-    @property
-    def is_pointed(self):
-        return not self.lineality
-
 
 def halfspaces(dim, normals, bounds=None):
     normals = tuple(tuple(n) for n in normals)
@@ -89,18 +86,19 @@ def dual_cone(hs):
     appeared: v is a ray when no value is negative, -v when none is positive.
     Normals that do not span vanish on every line and leave a lineality space,
     returned as an explicit basis with no ray decomposition.  Raises
-    WorkBudgetExceeded over MAX_DUAL_CONE_CHECKS unless the normals leave one.
+    WorkBudgetExceeded when the sign checks and minors would take over
+    MAX_DUAL_CONE_CHECKS steps, unless the normals leave one.
     """
     if any(b != 0 for b in hs.bounds):
         raise ValueError("dual_cone expects homogeneous inequalities")
-    normals, m = hs.normals, len(hs.normals)
-    if (checks := comb(m, hs.dim - 1) * m) > MAX_DUAL_CONE_CHECKS:
+    normals, m, d = hs.normals, len(hs.normals), hs.dim
+    if (checks := comb(m, d - 1) * (m + (d > 4) * d * (d - 1) ** 3)) > MAX_DUAL_CONE_CHECKS:
         if lin := kernel_basis(normals):
-            return ConeV(hs.dim, (), lin)
-        raise WorkBudgetExceeded(f"the cone of {m} inequalities in dimension {hs.dim} would take "
+            return ConeV(d, (), lin)
+        raise WorkBudgetExceeded(f"the cone of {m} inequalities in dimension {d} would take "
                                  f"{checks} ray checks, over the limit of {MAX_DUAL_CONE_CHECKS}")
     rays, spans = [], False
-    for v in _ray_candidates(hs.dim, normals):
+    for v in _ray_candidates(d, normals):
         pos = neg = False
         for n in normals:
             if (s := sum(map(mul, n, v))) > 0:
@@ -116,8 +114,8 @@ def dual_cone(hs):
                 rays.append(v if pos else tuple(-a for a in v))
         spans = pos or neg  # the same on every line (Ziegler, Lectures on Polytopes, 1.2)
     if not spans:
-        return ConeV(hs.dim, (), kernel_basis(normals) if normals else identity(hs.dim))
-    return ConeV(hs.dim, tuple(sorted(rays)))
+        return ConeV(d, (), kernel_basis(normals) if normals else identity(d))
+    return ConeV(d, tuple(sorted(rays)))
 
 
 def homogenized_cone(hs):

@@ -40,10 +40,6 @@ class ShapeVariety(Record):
         return sum(d + 1 for d in self.dims)
 
     @property
-    def picard_rank(self):
-        return len(self.dims)
-
-    @property
     def variables(self):
         """Cox variable names of the invariant divisors: z1, z2, ..."""
         return tuple(f"z{i+1}" for i in range(self.divisor_count))

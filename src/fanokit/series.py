@@ -96,9 +96,6 @@ class PowerSeries(Frozen):
             return PowerSeries.zero(self.order)
         return PowerSeries(self.order, [Fraction(0)] * k + list(self.coeffs[: self.order + 1 - k]))
 
-    def valuation_at_least(self, k):
-        return all(c == 0 for c in self.coeffs[:k])
-
     def specialize(self, assignments):
         return PowerSeries(
             self.order, [coeff_substitute(c, assignments) for c in self.coeffs]

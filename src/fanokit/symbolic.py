@@ -133,9 +133,6 @@ class ParamPoly(SparsePoly):
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

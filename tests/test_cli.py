@@ -102,12 +102,19 @@ GOLDEN_RUNS = [
         "classical-paper-f-order8-symbolic",
         ["periods", "classical", "--fixture", "paper-f", "--order", "8", "--symbolic"],
     ),
+    # A threefold scaffolding (Q_S of dimension 4) and its Laurent-inversion
+    # mirror; the path is relative to the repository root, as in CI.
+    (
+        "compare-inversion-threefold-order8",
+        ["periods", "compare", "--in", "tests/golden/inversion-threefold.json", "--order", "8"],
+    ),
 ]
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_RUNS)
-def test_json_output_matches_golden(capsys, name, argv):
+def test_json_output_matches_golden(capsys, monkeypatch, name, argv):
     """Byte-for-byte stdout of fixture runs, against files in tests/golden."""
+    monkeypatch.chdir(GOLDEN.parent.parent)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
@@ -128,9 +135,10 @@ def outcome(write, obj):
 
 @pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_RUNS]
                          + [["scaffold", "--fixture", "paper-scaffolding"]])
-def test_the_writer_matches_json_dumps_on_the_golden_reports(argv):
+def test_the_writer_matches_json_dumps_on_the_golden_reports(monkeypatch, argv):
     """Every report of a golden run, and scaffold without --check-hull, with its
     provenance block, written as json.dumps(sort_keys=True, indent=2) writes it."""
+    monkeypatch.chdir(GOLDEN.parent.parent)
     report, _ = _dispatch(build_parser().parse_args(argv))
     assert dumps(report) == as_json(report)
 
@@ -346,23 +354,28 @@ def test_class_rank_four(capsys, tmp_path):
         assert quantum["regularized"] == result["quantum_regularized"]
 
 
-def test_many_shape_factors_fail_fast(capsys, tmp_path):
-    """Forty P^1 factors exit 2 at the dimension guard; the nef check reads
-    the divisor degrees instead of building all 2^40 moment vertices."""
+@pytest.mark.parametrize("factors", [10, 40])
+def test_many_shape_factors_fail_fast(capsys, tmp_path, factors):
+    """Ten and forty P^1 factors, a Q_S of dimension 21 and 81, exit 2 within
+    a second: dual_cone's budget counts the factors * 2 + 2 Bareiss minors
+    each candidate line of the homogenized cone takes.  The nef check reads
+    the divisor degrees instead of building all 2^factors moment vertices."""
     struts = [
-        {"name": "a", "divisor": [1] * 80, "chi": [0]},
-        {"name": "b", "divisor": [0] * 80, "chi": [1]},
+        {"name": "a", "divisor": [1] * (2 * factors), "chi": [0]},
+        {"name": "b", "divisor": [0] * (2 * factors), "chi": [1]},
     ]
-    infile = tmp_path / "p1x40.json"
+    infile = tmp_path / f"p1x{factors}.json"
     infile.write_text(
-        json.dumps({"shape": {"projective_dims": [1] * 40}, "n_u_rank": 1, "struts": struts})
+        json.dumps({"shape": {"projective_dims": [1] * factors}, "n_u_rank": 1, "struts": struts})
     )
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "scaffold", "--in", str(infile))
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert err == (
-        "error: SchemaError: Q_S lives in dimension 81; this tool supports dimension <= 3\n"
-    )
+    assert err.startswith(f"error: WorkBudgetExceeded: the cone of {2 * factors + 3} "
+                          f"inequalities in dimension {2 * factors + 2} would take ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_fixture(capsys):
@@ -505,14 +518,14 @@ def test_scaffold_input_errors(capsys, tmp_path):
     assert code == 2
     assert "SchemaError" in err
 
-    big = tmp_path / "big.json"
-    big.write_text(
+    unbounded = tmp_path / "unbounded.json"
+    unbounded.write_text(
         '{"shape": {"projective_dims": [1, 1]}, "n_u_rank": 1,'
         ' "struts": [{"name": "a", "divisor": [1, 1, 1, 1], "chi": [0]}]}'
     )
-    code, _, err = run_cli(capsys, "scaffold", "--in", str(big))
-    assert code == 2
-    assert "dimension" in err
+    code, _, err = run_cli(capsys, "scaffold", "--in", str(unbounded))
+    assert code == 3
+    assert err == "error: Unbounded: region has a nontrivial recession cone\n"
 
 
 def test_scaffold_strut_named_like_a_shape_variable(capsys, tmp_path):

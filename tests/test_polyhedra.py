@@ -110,6 +110,19 @@ def test_dual_cone_over_the_budget_still_returns_its_lineality():
         dual_cone(halfspaces(3, flat[:-1] + [(1, 1, 1)]))
 
 
+def test_dual_cone_budget_counts_the_minors_of_each_line(monkeypatch):
+    """23 normals in dimension 22 cut C(23, 21) = 253 lines, so 5,819 sign
+    checks, but each line takes 22 Bareiss minors of size 21: the cone is
+    refused before its first kernel vector."""
+    def no_kernel_vector(rows):
+        raise AssertionError("kernel_vector called")
+
+    monkeypatch.setattr(polyhedra, "kernel_vector", no_kernel_vector)
+    unit = [tuple(int(i == j) for j in range(22)) for i in range(22)]
+    with pytest.raises(WorkBudgetExceeded, match="dimension 22"):
+        dual_cone(halfspaces(22, unit + [(-1,) * 22]))
+
+
 def test_ray_candidates_are_one_direction_per_line():
     """Opposite kernel vectors of two row subsets are one line."""
     lines = polyhedra._ray_candidates(2, [(1, 0), (-1, 0), (0, 1)])
@@ -119,7 +132,7 @@ def test_ray_candidates_are_one_direction_per_line():
 def test_dual_cone_plane_example():
     cone = dual_cone(halfspaces(2, [(1, 1), (1, -1)]))
     assert cone.rays == ((1, -1), (1, 1))
-    assert cone.is_pointed
+    assert not cone.lineality
 
 
 def test_dual_cone_octant():
@@ -129,7 +142,7 @@ def test_dual_cone_octant():
 
 def test_dual_cone_lineality_flagged():
     cone = dual_cone(halfspaces(3, [(1, 0, 0), (0, 1, 0)]))
-    assert not cone.is_pointed
+    assert cone.lineality
     assert cone.rays == ()
     assert len(cone.lineality) == 1
     for v in cone.lineality:
@@ -140,7 +153,7 @@ def test_dual_cone_lineality_flagged():
 
 def test_dual_cone_zero_cone():
     cone = dual_cone(halfspaces(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]))
-    assert cone.rays == () and cone.is_pointed
+    assert cone.rays == () and not cone.lineality
 
 
 def test_dual_cone_dim_4():
@@ -152,7 +165,7 @@ def test_dual_cone_dim_4():
     assert all(dot(f, r) >= 0 for f in facets for r in rays)
     assert set(dual_cone(halfspaces(4, list(facets))).rays) == set(rays)
     cone = dual_cone(halfspaces(4, unit[:3] + [(1, 1, 1, 0)]))
-    assert not cone.is_pointed and cone.rays == ()
+    assert cone.lineality and cone.rays == ()
     assert cone.lineality in (((0, 0, 0, 1),), ((0, 0, 0, -1),))
     simplex = halfspaces(4, unit + [(-1, -1, -1, -1)], [0, 0, 0, 0, -2])
     assert vertices(simplex) == sorted([(0,) * 4] + [tuple(2 * a for a in e) for e in unit])

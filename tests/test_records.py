@@ -68,7 +68,7 @@ def test_missing_unknown_or_repeated_fields_are_type_errors(args, kwargs):
 def test_keyword_and_default_binding():
     cone = ConeV(lineality=((1, 0),), dim=2, rays=())
     assert (cone.dim, cone.rays, cone.lineality) == (2, (), ((1, 0),))
-    assert not cone.is_pointed and ConeV(2, ()).is_pointed
+    assert cone.lineality and not ConeV(2, ()).lineality
 
 
 def test_post_init_checks_and_normalises():

@@ -21,7 +21,7 @@ S2 = ParamPoly.variable("s2", PARAMS)
 
 def test_parampoly_arithmetic():
     assert (S1 + S2) ** 2 == S1 * S1 + 2 * S1 * S2 + S2 * S2
-    assert (S1 - S1).is_zero()
+    assert not S1 - S1
     assert 3 * S1 - S1 == 2 * S1
     assert ParamPoly.constant(Fraction(2, 3)) == Fraction(2, 3)
     assert S1 * 0 == 0
@@ -150,7 +150,7 @@ def test_powerseries_basics():
     b = PowerSeries(3, [1])
     assert (a + b).order == 3
     assert (a * b).order == 3
-    assert (a - a).valuation_at_least(5)
+    assert not any((a - a).coeffs[:5])
 
 
 def test_powerseries_shift():
