@@ -10,13 +10,21 @@ sort_keys=True, indent=2)``; the text format adds a summary and elapsed time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from functools import cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+
+# The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto for one digest.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import InputError, MathError, SchemaError
@@ -100,7 +108,7 @@ def _load_input(args):
     except (ValueError, RecursionError) as e:
         raise SchemaError(f"malformed JSON: {_int_limit(e) or e}") from None
     provenance = {
-        "input_sha256": hashlib.sha256(raw).hexdigest(),
+        "input_sha256": sha256(raw).hexdigest(),
         "version": __version__,
     }
     provenance.update(source)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -198,6 +199,22 @@ def test_polygon_smooth_square(capsys, tmp_path):
     assert report["symmetry_order"] == 8
     assert report["qg_dimension"] == 0
     assert all(s["smooth"] for s in report["singularities"])
+
+
+def test_input_digest_covers_a_large_file(capsys, tmp_path):
+    """``input_sha256`` is the SHA-256 of the input's bytes, here over more than
+    a thousand 64-byte blocks: the paper's polygon padded past 64 KiB with
+    whitespace, which changes no other field of the report."""
+    fixture = resources.files("fanokit").joinpath("fixtures", "paper-P.json").read_bytes()
+    raw = b" \t\r\n" * 8192 + fixture + b"\n" * 40000
+    assert len(raw) > 64 * 1024
+    path = tmp_path / "padded.json"
+    path.write_bytes(raw)
+    report = run_json(capsys, "polygon", "--in", str(path))
+    assert report["provenance"]["input_sha256"] == hashlib.sha256(raw).hexdigest()
+    expected = run_json(capsys, "polygon", "--fixture", "paper-P")
+    del report["provenance"], expected["provenance"]
+    assert report == expected
 
 
 def test_polygon_invalid_input(capsys, tmp_path):
