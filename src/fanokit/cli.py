@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 # The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto for one digest.
@@ -84,25 +84,21 @@ def dumps(obj):
 
 
 def _load_input(args):
-    """Return (parsed JSON, provenance dict) for --in/--fixture."""
+    """Return (parsed JSON, provenance dict) for --in/--fixture; both read a file."""
     if args.fixture is not None:
         if args.fixture not in FIXTURES:
             raise SchemaError(
                 f"unknown fixture {args.fixture!r}; available: {', '.join(FIXTURES)}"
             )
-        raw = (
-            resources.files("fanokit")
-            .joinpath("fixtures", f"{args.fixture}.json")
-            .read_bytes()
-        )
+        path = os.path.join(os.path.dirname(__file__), "fixtures", f"{args.fixture}.json")
         source = {"fixture": args.fixture}
     else:
-        try:
-            with open(args.infile, "rb") as fh:
-                raw = fh.read()
-        except OSError as e:
-            raise SchemaError(f"cannot read input file: {e}") from None
-        source = {"file": args.infile}
+        path, source = args.infile, {"file": args.infile}
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise SchemaError(f"cannot read input file: {e}") from None
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as e:

@@ -84,6 +84,9 @@ MAX_FIELD_BITS = 10**10
 # a row pair take a few dict operations and calls next to the per-field work.
 # Rows of at most this many fields pair by int products instead of a decode.
 ROW_FIELDS = 16
+# A series coefficient costs about 190 bytes in a CLI run, counted as these field
+# bits where f needs no kernel; the kernel's budget bounds its series (w > half).
+COEFF_BITS = 8 * 192
 
 
 class LaurentPolynomial(SparsePoly):
@@ -342,26 +345,32 @@ def _products(a, b, w, reads):
     return sums
 
 
+def _budget(order, work):
+    if work > MAX_FIELD_BITS:
+        raise WorkBudgetExceeded(f"the classical period to order {order} would hold up to "
+                                 f"{work} field bits, over the limit of {MAX_FIELD_BITS}")
+
+
 def classical_period(f, order):
     """Series of constant terms of f^k, k = 0..order, exact at every order,
     from f^1 .. f^ceil(order/2) as the module docstring says.  A zero constant
     term is Fraction(0).  Raises WorkBudgetExceeded over MAX_FIELD_BITS."""
     flat, coeffs, half = list(_flat_terms(f)), [Fraction(1)], (order + 1) // 2
     if not flat:
+        _budget(order, (order + 1) * COEFF_BITS)
         return PowerSeries(order, coeffs)
     frame, max_rows, max_fields, hull = _row_frame(f, flat, half)
     scale = lcm(*(q.denominator for _, q in flat))
     flat = [(frame[e[: f.dim]] + e[f.dim :], q.numerator * (scale // q.denominator))
             for e, q in flat]
     dim, bounds = len(flat[0][0]) - len(f.params), _support_bounds(list(frame.values()), hull)
-    if any(h < 0 for _, h, _ in bounds):
+    if any(h < 0 for _, h, _ in bounds):  # the origin is outside Newt(f)
+        _budget(order, (order + 1) * COEFF_BITS)
         return PowerSeries(order, coeffs)
     products = max_fields <= ROW_FIELDS  # then fields hold f^a * f^b, a + b <= 2 half
     size, top = sum(abs(c) for _, c in flat), 2 * half if products else half
     w = 64 * (top * size.bit_length() // 64 + 1)  # at least the exact w below
-    if (work := half * w * max_rows * max_fields) > MAX_FIELD_BITS:
-        raise WorkBudgetExceeded(f"the classical period to order {order} would hold up to "
-                                 f"{work} field bits, over the limit of {MAX_FIELD_BITS}")
+    _budget(order, half * w * max_rows * max_fields)
     w = 64 * ((size**top).bit_length() // 64 + 1)  # exact, now that the budget bounds half
     base = 2 * max(order * max((abs(k) for e, _ in flat for k in e[1:]), default=0), 1) + 1
     mod, rows = base ** (dim - 1), {}

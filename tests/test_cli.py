@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fanokit
 import fanokit.linalg
-from fanokit.cli import _dispatch, build_parser, dumps, main
+from fanokit.cli import FIXTURES, _dispatch, build_parser, dumps, main
 from fanokit.linalg import mat_vec
 from fanokit.pipeline import run_polygon
 
@@ -396,9 +396,14 @@ def test_many_shape_factors_fail_fast(capsys, tmp_path, factors):
 
 
 def test_unknown_fixture(capsys):
-    code, _, err = run_cli(capsys, "polygon", "--fixture", "nope")
-    assert code == 2
-    assert "unknown fixture" in err
+    """--fixture takes a name from FIXTURES, checked before any file is opened,
+    so a path to a bundled file or to any other file is refused."""
+    for name in "nope", "../paper-P", "fixtures/paper-P", "paper-P.json", "/etc/passwd":
+        code, out, err = run_cli(capsys, "polygon", "--fixture", name)
+        assert code == 2 and out == ""
+        assert "unknown fixture" in err
+    bundled = Path(fanokit.__file__).parent / "fixtures"
+    assert set(FIXTURES) == {p.stem for p in bundled.glob("*.json")}
 
 
 def test_scaffold_fixture_report(capsys):

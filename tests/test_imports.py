@@ -53,22 +53,30 @@ COLD_IMPORT = """
 import sys
 before = set(sys.modules)
 import fanokit.cli
-print(" ".join(sorted(set(sys.modules) - before)))
+code = fanokit.cli.main(["polygon", "--fixture", "paper-P"])
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
 """
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every CLI run pays for ``import fanokit.cli``; in a fresh interpreter
     it must not newly load ``dataclasses`` or ``inspect`` (with ``ast``,
-    ``dis`` and ``tokenize`` behind it)."""
+    ``dis`` and ``tokenize`` behind it), nor, for a ``--fixture`` run,
+    ``importlib.resources`` with ``pathlib``, ``typing``, ``tempfile`` and
+    ``zipfile``.  ``-S`` keeps ``site`` off, so ``.pth`` files that import
+    some of these at start cannot hide them."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
-        [sys.executable, "-c", COLD_IMPORT],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-S", "-c", COLD_IMPORT],
+        env=env, capture_output=True, text=True, timeout=60,
     )
-    loaded = set(out.stdout.split())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("{")
+    loaded = set(out.stderr.split())
     assert "fanokit.pipeline" in loaded
-    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    assert loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources", "pathlib",
+                              "typing", "tempfile", "zipfile"})
 
 
 COLD_RUN = """

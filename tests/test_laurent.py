@@ -491,6 +491,18 @@ def test_classical_period_work_budget():
     with pytest.raises(WorkBudgetExceeded):
         classical_period(hex_laurent(), 10**6)
     assert time.perf_counter() - start < 1.0
+    # x + y (the origin outside Newt) and an f of zero coefficients need no
+    # kernel, and their zero-padded series is bounded too: order 10^7 first, so
+    # that a series built unbounded costs about 160 MB, not the 16 GB of 10^9
+    zero = laurent_from_json(
+        {"terms": [{"exp": [1, 0], "coeff": "0"}, {"exp": [0, 1], "coeff": "0"}]})
+    for g in laurent(2, {(1, 0): 1, (0, 1): 1}), zero:
+        start = time.perf_counter()
+        for order in 10**7, 10**9:
+            with pytest.raises(WorkBudgetExceeded, match=f"order {order} "):
+                classical_period(g, order)
+        assert time.perf_counter() - start < 1.0
+        assert classical_period(g, 12) == PowerSeries(12, [1])
     # order 100 stays inside the budget; t^100 as the dict kernel gave it
     assert classical_period(f, 100)[100] == int(
         "7282190224592979637447594016514932781719947136035085708740704128850012904548870"
