@@ -126,7 +126,9 @@ def unstable_locus_equal(gens_a, gens_b):
 class CoxPolynomial(SparsePoly):
     """Polynomial in Cox coordinates; exponents >= 0, insertion order kept."""
 
-    __slots__ = ("names", "params", "terms")
+    names: tuple
+    params: tuple
+    terms: dict
 
     def __init__(self, names, terms, params=()):
         object.__setattr__(self, "names", tuple(names))

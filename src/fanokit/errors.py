@@ -1,4 +1,5 @@
-"""Exception hierarchy, type checks on parsed input JSON, and the Record base.
+"""Exception hierarchy, type checks on parsed input JSON, and Record, the one
+frozen base of every value type, polynomials and series included.
 
 InputError covers malformed user input (bad JSON, invalid polygons) and
 requests over a work budget; it maps to CLI exit code 2.  MathError covers

@@ -90,7 +90,9 @@ COEFF_BITS = 8 * 192
 
 
 class LaurentPolynomial(SparsePoly):
-    __slots__ = ("dim", "params", "terms")
+    dim: int
+    params: tuple
+    terms: dict
 
     def __init__(self, dim, params, terms):
         object.__setattr__(self, "dim", int(dim))

@@ -31,13 +31,9 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def gcd_vec(v):
-    return gcd(*v)
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    g = gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in v)
@@ -60,19 +56,12 @@ def mat_freeze(rows):
 
 
 def det(M):
-    """Exact determinant of a square integer matrix: closed forms up to 3 x 3
-    (the minors of ray candidates), Bareiss elimination above."""
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant requires a square matrix")
     if n <= 1:
         return M[0][0] if n else 1
-    if n == 2:
-        (a, b), (c, d) = M
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = M
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in M]
     sign = 1
     prev = 1

@@ -89,7 +89,7 @@ def validate_fano(points):
     for a, b in zip(hull, hull[1:] + hull[:1]):
         if _cross(a, b) <= 0:  # origin strictly left of each directed edge
             raise OriginNotInterior("origin is not strictly interior")
-    return Polygon(_canonical_cycle(list(hull)))
+    return Polygon(hull)
 
 
 class CyclicQuotient2D(Record):

@@ -11,11 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .symbolic import Frozen, ParamPoly, coeff_substitute
+from .errors import Record
+from .symbolic import ParamPoly, coeff_substitute
 
 
-class PowerSeries(Frozen):
-    __slots__ = ("order", "coeffs")
+class PowerSeries(Record):
+    order: int
+    coeffs: tuple
 
     def __init__(self, order, coeffs):
         order = int(order)
@@ -44,16 +46,6 @@ class PowerSeries(Frozen):
         if not 0 <= d <= self.order:
             raise IndexError(f"coefficient {d} beyond truncation order {self.order}")
         return self.coeffs[d]
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __add__(self, other):
         other = self._coerce(other)

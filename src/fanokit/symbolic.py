@@ -3,9 +3,10 @@
 SparsePoly is the one immutable map {exponent tuple: nonzero coefficient}
 behind ParamPoly, laurent.LaurentPolynomial and cox.CoxPolynomial.  It owns
 the constructor clean-up (exponents to int tuples, arity check, zero
-coefficients dropped), the immutability guard, the product loop over two
-term maps and the term printer; it never converts a coefficient.  The
-wrappers name the exponent coordinates and add their own checks.
+coefficients dropped), the product loop over two term maps and the term
+printer; it never converts a coefficient.  Its base, errors.Record, makes it
+immutable.  The wrappers name the exponent coordinates and add their own
+checks.
 
 ParamPoly is a polynomial over Q in named parameters with Fraction
 coefficients.  Arithmetic interoperates with plain ints and Fractions, so
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import WorkBudgetExceeded
+from .errors import Record, WorkBudgetExceeded
 
 
 def _as_fraction(x):
@@ -32,23 +33,12 @@ def _as_fraction(x):
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
-class Frozen:
-    """Immutability guard: slots are set once through object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class SparsePoly(Frozen):
+class SparsePoly(Record):
     """Immutable {exponent tuple: coefficient} with no zero coefficients.
 
-    Subclasses declare a ``terms`` slot next to their own and call
+    Subclasses name a last field ``terms`` after their own and call
     ``_set_terms`` once from their constructor.
     """
-
-    __slots__ = ()
 
     def _set_terms(self, terms, arity, axes):
         clean = {}
@@ -62,12 +52,11 @@ class SparsePoly(Frozen):
 
     @classmethod
     def _trusted(cls, terms, *fields):
-        """An instance over ``terms`` as given, with ``fields`` for the slots
+        """An instance over ``terms`` as given, with ``fields`` for the fields
         before ``terms``: for term maps built here, on int exponent tuples of
         the right arity with no zero coefficient, so nothing is checked."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (*fields, terms)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(cls._fields, (*fields, terms)))
         return self
 
     def _product_terms(self, other):
@@ -107,7 +96,8 @@ def terms_str(items, names):
 
 
 class ParamPoly(SparsePoly):
-    __slots__ = ("params", "terms")
+    params: tuple
+    terms: dict
 
     def __init__(self, params, terms):
         object.__setattr__(self, "params", tuple(params))

@@ -6,13 +6,24 @@ import pickle
 
 import pytest
 
-from fanokit.cox import AbelianQuotient, FiberCheck
+from fanokit.cox import AbelianQuotient, CoxPolynomial, FiberCheck
 from fanokit.errors import SchemaError
+from fanokit.laurent import LaurentPolynomial
 from fanokit.polygon import CyclicQuotient2D, Polygon, SingularityRecord
 from fanokit.polyhedra import ConeV, HalfspaceSystem
 from fanokit.scaffolding import ShapeVariety, Strut
+from fanokit.series import PowerSeries
+from fanokit.symbolic import ParamPoly
 
 Q = CyclicQuotient2D.normalised(5, 2)
+A = ParamPoly.variable("a", ("a", "b"))
+# Polynomials and series over a parameter: Laurent and Cox equality ignores params.
+VALUES = (
+    A * 3 + 1,
+    LaurentPolynomial(2, ("a", "b"), {(1, -1): A, (0, 2): 2}),
+    CoxPolynomial(("x", "y"), {(1, 2): A}, ("a", "b")),
+    PowerSeries(3, [1, A, 2]),
+)
 
 
 @pytest.mark.parametrize("record, text", [
@@ -51,6 +62,12 @@ def test_records_are_frozen():
     with pytest.raises(AttributeError):
         Q.other = 1
     assert Q == CyclicQuotient2D(5, 2)
+    for value in VALUES:
+        field = "coeffs" if isinstance(value, PowerSeries) else "terms"
+        with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field {field!r}"):
+            delattr(value, field)
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -80,6 +97,7 @@ def test_post_init_checks_and_normalises():
 
 
 def test_copy_and_pickle_round_trip():
-    record = SingularityRecord(0, Q, 3, 1, 3, 0)
-    for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert other == record and repr(other) == repr(record)
+    for record in (SingularityRecord(0, Q, 3, 1, 3, 0), *VALUES):
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert other == record and repr(other) == repr(record)
+            assert getattr(other, "params", None) == getattr(record, "params", None)
